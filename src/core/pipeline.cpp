@@ -1,6 +1,7 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "base/check.h"
 #include "core/deformation_field.h"
@@ -9,6 +10,7 @@
 #include "image/filters.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "par/communicator.h"
 #include "phantom/brain_phantom.h"
 
 namespace neuro::core {
@@ -34,6 +36,35 @@ PipelineConfig default_pipeline_config() {
   config.mesher.stride = 4;
   return config;
 }
+
+namespace {
+
+/// Runs `body` on `nranks` ranks and returns rank 0's result. For stages
+/// whose result is the same on every rank.
+template <typename F>
+auto on_ranks(int nranks, F&& body) {
+  std::invoke_result_t<F&, par::Communicator&> out{};
+  par::run_spmd(nranks, [&](par::Communicator& comm) {
+    auto mine = body(comm);
+    if (comm.rank() == 0) out = std::move(mine);
+  });
+  return out;
+}
+
+/// seg::segment_intraop's k-NN pass on `nranks` ranks. The prototypes come
+/// from the calling thread: selection is serial work, and inside the rank
+/// threads it would run once per rank and leave its distance-transform
+/// scratch in every rank thread's malloc arena (measured as peak RSS).
+ImageL classify_on_ranks(const seg::FeatureStack& stack,
+                         const std::vector<seg::Prototype>& prototypes,
+                         const seg::IntraopSegmentationConfig& config, int nranks) {
+  const seg::KnnClassifier classifier(prototypes, config.k);
+  return on_ranks(nranks, [&](par::Communicator& comm) {
+    return classifier.classify_volume_parallel(stack, comm);
+  });
+}
+
+}  // namespace
 
 double PipelineResult::stage_seconds(const std::string& name) const {
   for (const auto& s : timeline) {
@@ -61,9 +92,17 @@ PipelineResult run_intraop_pipeline(const ImageF& preop, const ImageL& preop_lab
   obs::Span stage = obs::timed_span("pipeline.rigid_registration");
 
   // --- 1. Rigid registration: align preop data to the intraop frame. ---
+  // Registration and classification run on the FEM's ranks. Each is
+  // rank-count invariant (integer MI histograms, disjoint label slabs), so
+  // rank 0's result is every rank's result and the serial one.
+  const int nranks = config.fem.nranks;
   if (config.do_rigid_registration) {
     obs::Span sub = obs::global_span("pipeline.rigid.register_mi");
-    const auto rigid = reg::register_rigid_mi(intraop, preop, config.rigid);
+    const reg::RegistrationPyramid pyramid =
+        reg::build_registration_pyramid(intraop, preop, config.rigid);
+    const auto rigid = on_ranks(nranks, [&](par::Communicator& comm) {
+      return reg::register_rigid_mi(pyramid, config.rigid, {}, &comm);
+    });
     result.rigid = rigid.transform;
     result.rigid_mi = rigid.mutual_information;
   } else {
@@ -81,21 +120,36 @@ PipelineResult run_intraop_pipeline(const ImageF& preop, const ImageL& preop_lab
   // --- 2. Tissue classification of the intraoperative scan. ---
   stage = obs::timed_span("pipeline.tissue_classification");
   {
-    obs::Span sub = obs::global_span("pipeline.seg.intraop");
-    result.segmentation = seg::segment_intraop(intraop, result.aligned_preop_labels,
-                                               config.seg, nullptr, reuse_prototypes);
-    result.intraop_brain_mask =
-        seg::mask_of_labels(result.segmentation.labels, config.brain_labels);
-  }
-  // Classify the aligned preop scan with the same model (recorded prototype
-  // locations, features refreshed — the paper's automatic model update), so
-  // the two surface-target masks share one boundary bias.
-  {
-    obs::Span sub = obs::global_span("pipeline.seg.preop");
-    result.preop_classified_labels =
-        seg::segment_intraop(result.aligned_preop, result.aligned_preop_labels,
-                             config.seg, nullptr, &result.segmentation.prototypes)
-            .labels;
+    // Both classifications read the localization channels of the same aligned
+    // labels: built once, shared by both stacks and all ranks, released
+    // before the surface stage.
+    seg::FeatureStack localization;
+    {
+      obs::Span sub = obs::global_span("pipeline.seg.intraop");
+      localization =
+          seg::build_localization_channels(result.aligned_preop_labels, config.seg);
+      const seg::FeatureStack stack =
+          seg::build_feature_stack(intraop, localization, config.seg);
+      result.segmentation.prototypes = seg::model_prototypes(
+          stack, result.aligned_preop_labels, config.seg, reuse_prototypes);
+      result.segmentation.labels =
+          classify_on_ranks(stack, result.segmentation.prototypes, config.seg, nranks);
+      result.intraop_brain_mask =
+          seg::mask_of_labels(result.segmentation.labels, config.brain_labels);
+    }
+    // Classify the aligned preop scan with the same model (recorded prototype
+    // locations, features refreshed — the paper's automatic model update), so
+    // the two surface-target masks share one boundary bias.
+    {
+      obs::Span sub = obs::global_span("pipeline.seg.preop");
+      const seg::FeatureStack stack =
+          seg::build_feature_stack(result.aligned_preop, localization, config.seg);
+      result.preop_classified_labels = classify_on_ranks(
+          stack,
+          seg::model_prototypes(stack, result.aligned_preop_labels, config.seg,
+                                &result.segmentation.prototypes),
+          config.seg, nranks);
+    }
   }
   result.timeline.push_back({"tissue_classification", stage.close()});
 

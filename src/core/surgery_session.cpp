@@ -53,6 +53,15 @@ const PipelineResult& SurgerySession::process_scan(
     config.fem.nranks = overrides.nranks;
   }
   config.fem.fault_injection.seed += overrides.fault_seed_offset;
+  // The scan in flight counts against the retention bound: retire down to
+  // keep_full_results - 1 first, so at most keep_full_results full results
+  // are alive at any time, including while this scan's pipeline runs.
+  if (retention_.keep_full_results > 0) {
+    while (static_cast<int>(results_.size()) >= retention_.keep_full_results) {
+      results_.erase(results_.begin());
+      ++first_retained_scan_;
+    }
+  }
   results_.push_back(run_intraop_pipeline(preop_, preop_labels_, intraop,
                                           config, reuse, last_good));
   ++scans_processed_;
@@ -72,12 +81,6 @@ const PipelineResult& SurgerySession::process_scan(
   summary.trigger = r.degradation.trigger;
   summary.num_equations = r.fem.num_equations;
   summaries_.push_back(std::move(summary));
-  if (retention_.keep_full_results > 0) {
-    while (static_cast<int>(results_.size()) > retention_.keep_full_results) {
-      results_.erase(results_.begin());
-      ++first_retained_scan_;
-    }
-  }
   return results_.back();
 }
 

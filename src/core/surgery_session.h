@@ -33,10 +33,13 @@
 namespace neuro::core {
 
 /// Bounds how many full PipelineResults a session retains (see file header).
+/// The bound includes the scan being processed: process_scan retires the
+/// oldest results before its pipeline runs, so at most keep_full_results
+/// full results are alive at any time (≈50 MB each at the 96³ Fig. 6 shape).
 /// Non-positive keep_full_results means "keep every result" — the historical
 /// behavior, for offline analysis runs that genuinely want all images.
 struct SessionRetention {
-  int keep_full_results = 4;
+  int keep_full_results = 3;
 };
 
 /// The carried-forward state of a session, sufficient to resume the case
@@ -89,8 +92,9 @@ class SurgerySession {
   /// Runs the pipeline on the next intraoperative scan. The first call
   /// selects the prototype model; later calls reuse it (locations persist,
   /// signals refresh). Returns the stored result for this scan; the
-  /// reference stays valid until `retention.keep_full_results` further scans
-  /// have been processed.
+  /// reference stays valid until the `retention.keep_full_results`-th
+  /// further call to process_scan starts (a call retires old results even
+  /// when its pipeline then throws).
   const PipelineResult& process_scan(const ImageF& intraop);
   /// Same, with per-scan overrides (deadline, rank count, fault seed shift)
   /// applied to a copy of the session config for this scan only.

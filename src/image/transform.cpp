@@ -37,11 +37,12 @@ ImageF resample_rigid(const ImageF& moving, const ImageF& fixed_grid,
   ImageF out(fixed_grid.dims(), outside, fixed_grid.spacing(), fixed_grid.origin());
   const IVec3 d = out.dims();
   const IVec3 md = moving.dims();
+  const Mat3 R = transform.rotation_matrix();
   for (int k = 0; k < d.z; ++k) {
     for (int j = 0; j < d.y; ++j) {
       for (int i = 0; i < d.x; ++i) {
         const Vec3 p_fixed = out.voxel_to_physical(i, j, k);
-        const Vec3 p_moving = transform.apply(p_fixed);
+        const Vec3 p_moving = transform.apply(R, p_fixed);
         const Vec3 v = moving.physical_to_voxel(p_moving);
         if (v.x < 0 || v.y < 0 || v.z < 0 || v.x > md.x - 1 || v.y > md.y - 1 ||
             v.z > md.z - 1) {
@@ -59,11 +60,12 @@ ImageL resample_rigid_labels(const ImageL& moving, const ImageL& fixed_grid,
   ImageL out(fixed_grid.dims(), outside, fixed_grid.spacing(), fixed_grid.origin());
   const IVec3 d = out.dims();
   const IVec3 md = moving.dims();
+  const Mat3 R = transform.rotation_matrix();
   for (int k = 0; k < d.z; ++k) {
     for (int j = 0; j < d.y; ++j) {
       for (int i = 0; i < d.x; ++i) {
         const Vec3 p_fixed = out.voxel_to_physical(i, j, k);
-        const Vec3 p_moving = transform.apply(p_fixed);
+        const Vec3 p_moving = transform.apply(R, p_fixed);
         const Vec3 v = moving.physical_to_voxel(p_moving);
         const int ii = static_cast<int>(v.x + 0.5);
         const int jj = static_cast<int>(v.y + 0.5);

@@ -16,10 +16,18 @@ struct RigidTransform {
   std::array<double, 3> translation{0, 0, 0};  ///< physical units
   Vec3 center{0, 0, 0};
 
-  [[nodiscard]] Vec3 apply(const Vec3& p) const {
-    const Mat3 R = rotation_zyx(rotation[0], rotation[1], rotation[2]);
+  [[nodiscard]] Vec3 apply(const Vec3& p) const { return apply(rotation_matrix(), p); }
+
+  /// apply() with R = rotation_matrix() built once by the caller: loops that
+  /// map many points through one transform skip the per-point trig and
+  /// matrix products, and get the same bits as apply(p).
+  [[nodiscard]] Vec3 apply(const Mat3& R, const Vec3& p) const {
     return R * (p - center) + center +
            Vec3{translation[0], translation[1], translation[2]};
+  }
+
+  [[nodiscard]] Mat3 rotation_matrix() const {
+    return rotation_zyx(rotation[0], rotation[1], rotation[2]);
   }
 
   /// Inverse transform: x = R^T * (y - c - t) + c.

@@ -477,6 +477,21 @@ class Communicator {
   WorkCounter work_;
 };
 
+/// Half-open index range [begin, end).
+struct BlockRange {
+  int begin = 0;
+  int end = 0;
+};
+
+/// The contiguous block of `n` items that `rank` of `nranks` owns: equal
+/// blocks in rank order, the remainder spread one each over the first ranks.
+inline BlockRange block_range(int n, int rank, int nranks) {
+  const int base = n / nranks;
+  const int extra = n % nranks;
+  const int begin = rank * base + (rank < extra ? rank : extra);
+  return {begin, begin + base + (rank < extra ? 1 : 0)};
+}
+
 /// Options for run_spmd.
 struct SpmdOptions {
   /// Collective-order verification (par/verify.h). kAuto follows the

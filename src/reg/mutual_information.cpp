@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <span>
 
 #include "base/check.h"
+#include "base/numerics_annotations.h"
+#include "obs/trace.h"
 
 namespace neuro::reg {
 
@@ -13,39 +17,33 @@ JointHistogram::JointHistogram(int bins, double fixed_lo, double fixed_hi,
       fixed_lo_(fixed_lo),
       fixed_hi_(fixed_hi),
       moving_lo_(moving_lo),
-      moving_hi_(moving_hi),
-      joint_(static_cast<std::size_t>(bins) * static_cast<std::size_t>(bins), 0.0) {
+      moving_hi_(moving_hi) {
   NEURO_REQUIRE(bins >= 2, "JointHistogram: need at least 2 bins");
   NEURO_REQUIRE(fixed_hi > fixed_lo && moving_hi > moving_lo,
                 "JointHistogram: empty intensity range");
-}
-
-int JointHistogram::bin(double v, double lo, double hi) const {
-  const double t = (v - lo) / (hi - lo);
-  int b = static_cast<int>(t * bins_);
-  return std::clamp(b, 0, bins_ - 1);
-}
-
-void JointHistogram::add(double fixed_value, double moving_value) {
-  const int bf = bin(fixed_value, fixed_lo_, fixed_hi_);
-  const int bm = bin(moving_value, moving_lo_, moving_hi_);
-  joint_[static_cast<std::size_t>(bf) * static_cast<std::size_t>(bins_) +
-         static_cast<std::size_t>(bm)] += 1.0;
-  ++samples_;
+  joint_.assign(static_cast<std::size_t>(bins) * static_cast<std::size_t>(bins), 0);
 }
 
 void JointHistogram::clear() {
-  std::fill(joint_.begin(), joint_.end(), 0.0);
+  std::fill(joint_.begin(), joint_.end(), 0);
   samples_ = 0;
 }
 
+void JointHistogram::allreduce(par::Communicator& comm) {
+  comm.allreduce_sum(std::span<std::int64_t>(joint_));
+  samples_ = std::accumulate(joint_.begin(), joint_.end(), std::int64_t{0});
+}
+
 namespace {
-double entropy_of(const std::vector<double>& p, double total) {
-  if (total <= 0.0) return 0.0;
+// Counts convert to doubles exactly (far below 2^53), so these are the
+// entropies of the same probabilities a floating-point histogram would hold.
+double entropy_of(const std::vector<std::int64_t>& counts, std::int64_t total) {
+  if (total <= 0) return 0.0;
+  const double n = static_cast<double>(total);
   double h = 0.0;
-  for (const double c : p) {
-    if (c > 0.0) {
-      const double q = c / total;
+  for (const std::int64_t c : counts) {
+    if (c > 0) {
+      const double q = static_cast<double>(c) / n;
       h -= q * std::log(q);
     }
   }
@@ -54,7 +52,7 @@ double entropy_of(const std::vector<double>& p, double total) {
 }  // namespace
 
 double JointHistogram::fixed_entropy() const {
-  std::vector<double> marg(static_cast<std::size_t>(bins_), 0.0);
+  std::vector<std::int64_t> marg(static_cast<std::size_t>(bins_), 0);
   for (int f = 0; f < bins_; ++f) {
     for (int m = 0; m < bins_; ++m) {
       marg[static_cast<std::size_t>(f)] +=
@@ -62,11 +60,11 @@ double JointHistogram::fixed_entropy() const {
                  static_cast<std::size_t>(m)];
     }
   }
-  return entropy_of(marg, static_cast<double>(samples_));
+  return entropy_of(marg, samples_);
 }
 
 double JointHistogram::moving_entropy() const {
-  std::vector<double> marg(static_cast<std::size_t>(bins_), 0.0);
+  std::vector<std::int64_t> marg(static_cast<std::size_t>(bins_), 0);
   for (int f = 0; f < bins_; ++f) {
     for (int m = 0; m < bins_; ++m) {
       marg[static_cast<std::size_t>(m)] +=
@@ -74,12 +72,10 @@ double JointHistogram::moving_entropy() const {
                  static_cast<std::size_t>(m)];
     }
   }
-  return entropy_of(marg, static_cast<double>(samples_));
+  return entropy_of(marg, samples_);
 }
 
-double JointHistogram::joint_entropy() const {
-  return entropy_of(joint_, static_cast<double>(samples_));
-}
+double JointHistogram::joint_entropy() const { return entropy_of(joint_, samples_); }
 
 std::pair<double, double> intensity_range(const ImageF& img) {
   double lo = 1e300, hi = -1e300;
@@ -91,29 +87,64 @@ std::pair<double, double> intensity_range(const ImageF& img) {
   return {lo, hi};
 }
 
-double mutual_information(const ImageF& fixed, const ImageF& moving,
-                          const RigidTransform& transform, const MiConfig& config) {
+namespace {
+JointHistogram empty_histogram(const ImageF& fixed, const ImageF& moving,
+                               const MiConfig& config) {
   NEURO_REQUIRE(config.sample_stride >= 1, "mutual_information: bad sample stride");
   const auto [flo, fhi] = intensity_range(fixed);
   const auto [mlo, mhi] = intensity_range(moving);
-  JointHistogram hist(config.bins, flo, fhi, mlo, mhi);
+  return JointHistogram(config.bins, flo, fhi, mlo, mhi);
+}
+}  // namespace
 
+MiSampler::MiSampler(const ImageF& fixed, const ImageF& moving, const MiConfig& config,
+                     par::Communicator* comm)
+    : moving_(&moving), comm_(comm), empty_(empty_histogram(fixed, moving, config)) {
+  const int stride = config.sample_stride;
   const IVec3 d = fixed.dims();
-  const IVec3 md = moving.dims();
-  for (int k = 0; k < d.z; k += config.sample_stride) {
-    for (int j = 0; j < d.y; j += config.sample_stride) {
-      for (int i = 0; i < d.x; i += config.sample_stride) {
-        const Vec3 p = fixed.voxel_to_physical(i, j, k);
-        const Vec3 v = moving.physical_to_voxel(transform.apply(p));
-        if (v.x < 0 || v.y < 0 || v.z < 0 || v.x > md.x - 1 || v.y > md.y - 1 ||
-            v.z > md.z - 1) {
-          continue;
-        }
-        hist.add(static_cast<double>(fixed(i, j, k)), sample_trilinear(moving, v));
+  const int planes = (d.z + stride - 1) / stride;
+  const par::BlockRange slab =
+      comm != nullptr ? par::block_range(planes, comm->rank(), comm->size())
+                      : par::BlockRange{0, planes};
+  samples_.reserve(static_cast<std::size_t>(slab.end - slab.begin) *
+                   static_cast<std::size_t>((d.y + stride - 1) / stride) *
+                   static_cast<std::size_t>((d.x + stride - 1) / stride));
+  for (int k = slab.begin * stride; k < slab.end * stride; k += stride) {
+    for (int j = 0; j < d.y; j += stride) {
+      for (int i = 0; i < d.x; i += stride) {
+        samples_.push_back({fixed.voxel_to_physical(i, j, k),
+                            empty_.fixed_bin(static_cast<double>(fixed(i, j, k)))});
       }
     }
   }
+}
+
+// The per-sample arithmetic is the serial loop's, in the serial order within
+// each slab; only integer counts cross ranks, so the MI is rank-count
+// invariant.
+NEURO_BITEXACT
+double MiSampler::evaluate(const RigidTransform& transform) const {
+  obs::Span span = obs::global_span("reg.mi_eval");
+  if (span.active()) span.attr("samples", static_cast<std::int64_t>(samples_.size()));
+  JointHistogram hist = empty_;
+  const Mat3 R = transform.rotation_matrix();
+  const ImageF& moving = *moving_;
+  const IVec3 md = moving.dims();
+  for (const Sample& s : samples_) {
+    const Vec3 v = moving.physical_to_voxel(transform.apply(R, s.position));
+    if (v.x < 0 || v.y < 0 || v.z < 0 || v.x > md.x - 1 || v.y > md.y - 1 ||
+        v.z > md.z - 1) {
+      continue;
+    }
+    hist.add_bins(s.fixed_bin, hist.moving_bin(sample_trilinear(moving, v)));
+  }
+  if (comm_ != nullptr) hist.allreduce(*comm_);
   return hist.mutual_information();
+}
+
+double mutual_information(const ImageF& fixed, const ImageF& moving,
+                          const RigidTransform& transform, const MiConfig& config) {
+  return MiSampler(fixed, moving, config).evaluate(transform);
 }
 
 double mean_squared_difference(const ImageF& fixed, const ImageF& moving,
@@ -122,13 +153,14 @@ double mean_squared_difference(const ImageF& fixed, const ImageF& moving,
   NEURO_REQUIRE(config.sample_stride >= 1, "mean_squared_difference: bad stride");
   const IVec3 d = fixed.dims();
   const IVec3 md = moving.dims();
+  const Mat3 R = transform.rotation_matrix();
   double sum = 0.0;
   std::size_t n = 0;
   for (int k = 0; k < d.z; k += config.sample_stride) {
     for (int j = 0; j < d.y; j += config.sample_stride) {
       for (int i = 0; i < d.x; i += config.sample_stride) {
         const Vec3 p = fixed.voxel_to_physical(i, j, k);
-        const Vec3 v = moving.physical_to_voxel(transform.apply(p));
+        const Vec3 v = moving.physical_to_voxel(transform.apply(R, p));
         if (v.x < 0 || v.y < 0 || v.z < 0 || v.x > md.x - 1 || v.y > md.y - 1 ||
             v.z > md.z - 1) {
           continue;

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <optional>
 
 #include "base/check.h"
 #include "image/filters.h"
+#include "obs/trace.h"
 
 namespace neuro::reg {
 
@@ -42,14 +44,19 @@ ImageF downsample2(const ImageF& img) {
 
 namespace {
 
+/// The best point a line search found and its metric value.
+struct LineMax {
+  double t;
+  double value;
+};
+
 /// Golden-section line search for the maximum of f on [a, b] after a simple
-/// expansion bracketing around 0 with step `step`. Returns the best t.
+/// expansion bracketing around 0 with step `step`.
 template <typename F>
-double line_search_max(F&& f, double step, int* evals) {
+LineMax line_search_max(F&& f, double step) {
   // Bracket: evaluate at -step, 0, +step, expand toward the better side.
   double t0 = -step, t1 = 0.0, t2 = step;
   double f0 = f(t0), f1 = f(t1), f2 = f(t2);
-  *evals += 3;
   int guard = 0;
   while (guard++ < 12) {
     if (f1 >= f0 && f1 >= f2) break;  // bracketed
@@ -64,7 +71,6 @@ double line_search_max(F&& f, double step, int* evals) {
       t2 = t1 + 2.0 * (t1 - t0);
       f2 = f(t2);
     }
-    ++*evals;
   }
   // Golden-section refinement on [t0, t2].
   constexpr double kInvPhi = 0.6180339887498949;
@@ -72,7 +78,6 @@ double line_search_max(F&& f, double step, int* evals) {
   double x1 = b - kInvPhi * (b - a);
   double x2 = a + kInvPhi * (b - a);
   double fx1 = f(x1), fx2 = f(x2);
-  *evals += 2;
   for (int it = 0; it < 18 && (b - a) > 1e-6 + 1e-3 * step; ++it) {
     if (fx1 >= fx2) {
       b = x2;
@@ -85,57 +90,63 @@ double line_search_max(F&& f, double step, int* evals) {
       x2 = a + kInvPhi * (b - a);
       fx2 = f(x2);
     }
-    ++*evals;
   }
-  return fx1 >= fx2 ? x1 : x2;
+  return fx1 >= fx2 ? LineMax{x1, fx1} : LineMax{x2, fx2};
 }
 
 }  // namespace
 
-RigidRegistrationResult register_rigid_mi(const ImageF& fixed, const ImageF& moving,
-                                          const RigidRegistrationConfig& config,
-                                          const RigidTransform& initial) {
+RegistrationPyramid build_registration_pyramid(const ImageF& fixed, const ImageF& moving,
+                                               const RigidRegistrationConfig& config) {
   NEURO_REQUIRE(config.pyramid_levels >= 1, "register_rigid_mi: need >= 1 level");
-
-  // Build pyramids, coarsest last.
-  std::vector<ImageF> fixed_pyr{
-      config.metric_smoothing_sigma > 0.0
-          ? gaussian_smooth(fixed, config.metric_smoothing_sigma)
-          : fixed};
-  std::vector<ImageF> moving_pyr{
-      config.metric_smoothing_sigma > 0.0
-          ? gaussian_smooth(moving, config.metric_smoothing_sigma)
-          : moving};
+  RegistrationPyramid pyr;
+  pyr.fixed.push_back(config.metric_smoothing_sigma > 0.0
+                          ? gaussian_smooth(fixed, config.metric_smoothing_sigma)
+                          : fixed);
+  pyr.moving.push_back(config.metric_smoothing_sigma > 0.0
+                           ? gaussian_smooth(moving, config.metric_smoothing_sigma)
+                           : moving);
   for (int l = 1; l < config.pyramid_levels; ++l) {
-    fixed_pyr.push_back(downsample2(fixed_pyr.back()));
-    moving_pyr.push_back(downsample2(moving_pyr.back()));
+    pyr.fixed.push_back(downsample2(pyr.fixed.back()));
+    pyr.moving.push_back(downsample2(pyr.moving.back()));
   }
-
   const IVec3 fd = fixed.dims();
-  const Vec3 center = fixed.voxel_to_physical(
+  pyr.center = fixed.voxel_to_physical(
       Vec3{(fd.x - 1) / 2.0, (fd.y - 1) / 2.0, (fd.z - 1) / 2.0});
+  return pyr;
+}
+
+RigidRegistrationResult register_rigid_mi(const RegistrationPyramid& pyramid,
+                                          const RigidRegistrationConfig& config,
+                                          const RigidTransform& initial,
+                                          par::Communicator* comm) {
+  const int levels = static_cast<int>(pyramid.fixed.size());
+  NEURO_REQUIRE(levels >= 1 && pyramid.moving.size() == pyramid.fixed.size(),
+                "register_rigid_mi: malformed pyramid");
+  const bool use_mi = config.metric == MetricKind::kMutualInformation;
 
   RigidRegistrationResult result;
   std::array<double, 6> params = initial.params();
   int evals = 0;
 
-  for (int l = config.pyramid_levels - 1; l >= 0; --l) {
-    const ImageF& f_img = fixed_pyr[static_cast<std::size_t>(l)];
-    const ImageF& m_img = moving_pyr[static_cast<std::size_t>(l)];
-    // Coarse levels tolerate a denser sampling because they are small.
-    MiConfig mi = config.mi;
+  for (int l = levels - 1; l >= 0; --l) {
+    obs::Span level_span = obs::global_span("reg.level");
+    if (level_span.active()) level_span.attr("level", l);
+    const ImageF& f_img = pyramid.fixed[static_cast<std::size_t>(l)];
+    const ImageF& m_img = pyramid.moving[static_cast<std::size_t>(l)];
+    std::optional<MiSampler> sampler;
+    if (use_mi) sampler.emplace(f_img, m_img, config.mi, comm);
 
     auto metric = [&](const std::array<double, 6>& p) {
       ++evals;
-      const RigidTransform t = RigidTransform::from_params(p, center);
+      const RigidTransform t = RigidTransform::from_params(p, pyramid.center);
       // The optimizer maximizes; SSD enters negated.
-      return config.metric == MetricKind::kMutualInformation
-                 ? mutual_information(f_img, m_img, t, mi)
-                 : -mean_squared_difference(f_img, m_img, t, mi);
+      return use_mi ? sampler->evaluate(t)
+                    : -mean_squared_difference(f_img, m_img, t, config.mi);
     };
 
     // Step sizes shrink on finer levels where the coarse solve got us close.
-    const double scale = std::pow(0.5, config.pyramid_levels - 1 - l);
+    const double scale = std::pow(0.5, levels - 1 - l);
     double best = metric(params);
     for (int sweep = 0; sweep < config.powell_iterations; ++sweep) {
       const double before = best;
@@ -148,13 +159,10 @@ RigidRegistrationResult register_rigid_mi(const ImageF& fixed, const ImageF& mov
           p[static_cast<std::size_t>(dim)] += t;
           return metric(p);
         };
-        const double t = line_search_max(line, step, &evals);
-        std::array<double, 6> p = params;
-        p[static_cast<std::size_t>(dim)] += t;
-        const double v = metric(p);
-        if (v > best) {
-          best = v;
-          params = p;
+        const LineMax m = line_search_max(line, step);
+        if (m.value > best) {
+          best = m.value;
+          params[static_cast<std::size_t>(dim)] += m.t;
         }
       }
       if (best - before < config.tolerance) break;
@@ -163,9 +171,17 @@ RigidRegistrationResult register_rigid_mi(const ImageF& fixed, const ImageF& mov
     result.mutual_information = best;
   }
 
-  result.transform = RigidTransform::from_params(params, center);
+  result.transform = RigidTransform::from_params(params, pyramid.center);
   result.metric_evaluations = evals;
   return result;
+}
+
+RigidRegistrationResult register_rigid_mi(const ImageF& fixed, const ImageF& moving,
+                                          const RigidRegistrationConfig& config,
+                                          const RigidTransform& initial,
+                                          par::Communicator* comm) {
+  return register_rigid_mi(build_registration_pyramid(fixed, moving, config), config,
+                           initial, comm);
 }
 
 }  // namespace neuro::reg

@@ -10,6 +10,7 @@
 
 #include "image/image3d.h"
 #include "image/transform.h"
+#include "par/communicator.h"
 #include "reg/mutual_information.h"
 
 namespace neuro::reg {
@@ -45,10 +46,34 @@ struct RigidRegistrationResult {
 /// the last block.
 ImageF downsample2(const ImageF& img);
 
+/// The metric-smoothed multiresolution pyramids of one fixed/moving pair
+/// (index 0 = full resolution, coarsest last). Built once and only read by
+/// the optimizer, so the ranks of a parallel registration share one copy.
+struct RegistrationPyramid {
+  std::vector<ImageF> fixed;
+  std::vector<ImageF> moving;
+  Vec3 center;  ///< rotation center: the center of the fixed volume
+};
+
+RegistrationPyramid build_registration_pyramid(const ImageF& fixed, const ImageF& moving,
+                                               const RigidRegistrationConfig& config);
+
 /// Finds the rigid transform maximizing MI(fixed, moving ∘ T), starting from
 /// `initial`. The rotation center is fixed to the center of the fixed volume.
+/// With a communicator the call is collective: each MI evaluation samples a
+/// slab per rank and sums integer histogram counts (MiSampler), so every rank
+/// returns the serial result bit for bit, at any rank count. The SSD metric
+/// ignores the communicator (every rank evaluates it whole).
+RigidRegistrationResult register_rigid_mi(const RegistrationPyramid& pyramid,
+                                          const RigidRegistrationConfig& config,
+                                          const RigidTransform& initial = {},
+                                          par::Communicator* comm = nullptr);
+
+/// Builds the pyramid and registers. Under SPMD prefer building the pyramid
+/// once outside the parallel region and calling the overload above.
 RigidRegistrationResult register_rigid_mi(const ImageF& fixed, const ImageF& moving,
                                           const RigidRegistrationConfig& config,
-                                          const RigidTransform& initial = {});
+                                          const RigidTransform& initial = {},
+                                          par::Communicator* comm = nullptr);
 
 }  // namespace neuro::reg

@@ -8,41 +8,61 @@
 
 namespace neuro::seg {
 
+FeatureStack build_localization_channels(const ImageL& preop_labels,
+                                         const IntraopSegmentationConfig& config) {
+  NEURO_REQUIRE(!config.classes.empty(),
+                "build_localization_channels: no classes configured");
+  FeatureStack localization;
+  for (const std::uint8_t cls : config.classes) {
+    localization.add_channel(distance_to_label(preop_labels, cls, config.dt_saturation_mm),
+                             config.dt_weight);
+  }
+  return localization;
+}
+
+FeatureStack build_feature_stack(const ImageF& scan, const FeatureStack& localization,
+                                 const IntraopSegmentationConfig& config) {
+  NEURO_REQUIRE(scan.dims() == localization.dims(),
+                "build_feature_stack: scan/localization dims mismatch");
+  FeatureStack stack;
+  stack.add_channel(scan, config.intensity_weight);
+  stack.add_channels(localization);
+  return stack;
+}
+
 FeatureStack build_feature_stack(const ImageF& scan, const ImageL& preop_labels,
                                  const IntraopSegmentationConfig& config) {
   NEURO_REQUIRE(scan.dims() == preop_labels.dims(),
                 "build_feature_stack: scan/labels dims mismatch");
-  NEURO_REQUIRE(!config.classes.empty(), "build_feature_stack: no classes configured");
-  FeatureStack stack;
-  stack.add_channel(scan, config.intensity_weight);
-  for (const std::uint8_t cls : config.classes) {
-    stack.add_channel(distance_to_label(preop_labels, cls, config.dt_saturation_mm),
-                      config.dt_weight);
+  return build_feature_stack(scan, build_localization_channels(preop_labels, config),
+                             config);
+}
+
+std::vector<Prototype> model_prototypes(const FeatureStack& stack,
+                                        const ImageL& preop_labels,
+                                        const IntraopSegmentationConfig& config,
+                                        const std::vector<Prototype>* reuse) {
+  if (reuse != nullptr && !reuse->empty()) {
+    std::vector<Prototype> prototypes = *reuse;
+    refresh_prototypes(prototypes, stack);
+    return prototypes;
   }
-  return stack;
+  // First scan: select the statistical model from the preoperative
+  // segmentation (standing in for the < 5 minutes of expert interaction).
+  Rng rng(config.seed);
+  return select_prototypes_robust(preop_labels, stack, config.prototypes_per_class, rng,
+                                  config.exclude_classes, config.prototype_margin_mm,
+                                  config.prototype_trim_mads);
 }
 
 IntraopSegmentation segment_intraop(const ImageF& scan, const ImageL& preop_labels,
                                     const IntraopSegmentationConfig& config,
                                     par::Communicator* comm,
                                     const std::vector<Prototype>* reuse) {
-  FeatureStack stack = build_feature_stack(scan, preop_labels, config);
-
+  const FeatureStack stack = build_feature_stack(scan, preop_labels, config);
   IntraopSegmentation result;
-  if (reuse != nullptr && !reuse->empty()) {
-    result.prototypes = *reuse;
-    refresh_prototypes(result.prototypes, stack);
-  } else {
-    // First scan: select the statistical model from the preoperative
-    // segmentation (standing in for the < 5 minutes of expert interaction).
-    Rng rng(config.seed);
-    result.prototypes = select_prototypes_robust(
-        preop_labels, stack, config.prototypes_per_class, rng,
-        config.exclude_classes, config.prototype_margin_mm,
-        config.prototype_trim_mads);
-  }
-
-  KnnClassifier classifier(result.prototypes, config.k);
+  result.prototypes = model_prototypes(stack, preop_labels, config, reuse);
+  const KnnClassifier classifier(result.prototypes, config.k);
   result.labels = comm != nullptr ? classifier.classify_volume_parallel(stack, *comm)
                                   : classifier.classify_volume(stack);
   return result;

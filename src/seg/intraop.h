@@ -46,6 +46,18 @@ struct IntraopSegmentation {
   std::vector<Prototype> prototypes;   ///< reusable statistical model
 };
 
+/// The localization model of a (registered) preoperative segmentation: one
+/// saturated DT channel per class in `config.classes`, weighted dt_weight.
+/// It depends on the labels alone, so every scan classified against the same
+/// labels can share one build.
+FeatureStack build_localization_channels(const ImageL& preop_labels,
+                                         const IntraopSegmentationConfig& config);
+
+/// The feature stack of a scan: channel 0 is the scan intensity, then the
+/// channels of `localization` (shared, not copied).
+FeatureStack build_feature_stack(const ImageF& scan, const FeatureStack& localization,
+                                 const IntraopSegmentationConfig& config);
+
 /// Builds the feature stack for a scan given the (registered) preoperative
 /// segmentation: channel 0 is the scan intensity, then one saturated DT per
 /// class in `config.classes`.
@@ -60,6 +72,16 @@ IntraopSegmentation segment_intraop(const ImageF& scan, const ImageL& preop_labe
                                     const IntraopSegmentationConfig& config,
                                     par::Communicator* comm = nullptr,
                                     const std::vector<Prototype>* reuse = nullptr);
+
+/// The statistical model segment_intraop classifies `stack` with: `reuse`'s
+/// recorded locations refreshed against the stack when non-null and
+/// non-empty, else a robust selection from `preop_labels` (config.seed).
+/// Callers that classify on several ranks build it once, before the SPMD
+/// region, and hand it to KnnClassifier::classify_volume_parallel.
+std::vector<Prototype> model_prototypes(const FeatureStack& stack,
+                                        const ImageL& preop_labels,
+                                        const IntraopSegmentationConfig& config,
+                                        const std::vector<Prototype>* reuse = nullptr);
 
 /// Binary mask (1/0) of voxels carrying any of the given labels.
 ImageL mask_of_labels(const ImageL& labels, const std::vector<std::uint8_t>& keep);

@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "base/check.h"
+#include "base/numerics_annotations.h"
 #include "image/distance.h"
 
 namespace neuro::seg {
@@ -16,27 +17,38 @@ namespace neuro::seg {
 void FeatureStack::add_channel(ImageF channel, double weight) {
   NEURO_REQUIRE(weight > 0.0, "FeatureStack: channel weight must be positive");
   if (!channels_.empty()) {
-    NEURO_REQUIRE(channel.dims() == channels_.front().dims(),
+    NEURO_REQUIRE(channel.dims() == dims(),
                   "FeatureStack: channel dims mismatch");
   }
-  channels_.push_back(std::move(channel));
+  channels_.push_back(std::make_shared<const ImageF>(std::move(channel)));
   weights_.push_back(weight);
+}
+
+void FeatureStack::add_channels(const FeatureStack& other) {
+  for (std::size_t c = 0; c < other.channels(); ++c) {
+    if (!channels_.empty()) {
+      NEURO_REQUIRE(other.channel(c).dims() == dims(),
+                    "FeatureStack: channel dims mismatch");
+    }
+    channels_.push_back(other.channels_[c]);
+    weights_.push_back(other.weights_[c]);
+  }
 }
 
 IVec3 FeatureStack::dims() const {
   NEURO_REQUIRE(!channels_.empty(), "FeatureStack: no channels");
-  return channels_.front().dims();
+  return channels_.front()->dims();
 }
 
 std::size_t FeatureStack::voxels() const {
   NEURO_REQUIRE(!channels_.empty(), "FeatureStack: no channels");
-  return channels_.front().size();
+  return channels_.front()->size();
 }
 
 void FeatureStack::feature_at(int i, int j, int k, std::vector<double>& out) const {
   out.resize(channels_.size());
   for (std::size_t c = 0; c < channels_.size(); ++c) {
-    out[c] = weights_[c] * static_cast<double>(channels_[c](i, j, k));
+    out[c] = weights_[c] * static_cast<double>((*channels_[c])(i, j, k));
   }
 }
 
@@ -182,82 +194,143 @@ void refresh_prototypes(std::vector<Prototype>& prototypes, const FeatureStack& 
   }
 }
 
-KnnClassifier::KnnClassifier(std::vector<Prototype> prototypes, int k, Voting voting)
-    : prototypes_(std::move(prototypes)), k_(k), voting_(voting) {
+// Per-slab working memory of the voxel kernel: the k-best list and the vote
+// tallies live here, not on the heap per voxel. The tallies are indexed by
+// label and reset after every voxel, touching only the labels voted for.
+struct KnnClassifier::Scratch {
+  static constexpr std::size_t kStackHits = 32;
+
+  explicit Scratch(int k) {
+    if (static_cast<std::size_t>(k) > kStackHits) {
+      heap_hits.resize(static_cast<std::size_t>(k));
+    }
+  }
+  Hit* hits() { return heap_hits.empty() ? stack_hits.data() : heap_hits.data(); }
+
+  std::array<Hit, kStackHits> stack_hits{};
+  std::vector<Hit> heap_hits;  ///< only for k > kStackHits
+  std::array<int, 256> votes{};
+  std::array<double, 256> weights{};
+  std::array<std::uint8_t, 256> voted{};  ///< distinct labels among the hits
+};
+
+KnnClassifier::KnnClassifier(const std::vector<Prototype>& prototypes, int k,
+                             Voting voting)
+    : channels_(prototypes.empty() ? 0 : prototypes.front().features.size()),
+      k_(k),
+      voting_(voting) {
   NEURO_REQUIRE(k_ > 0, "KnnClassifier: k must be positive");
-  NEURO_REQUIRE(!prototypes_.empty(), "KnnClassifier: need at least one prototype");
-  const std::size_t nf = prototypes_.front().features.size();
-  for (const auto& p : prototypes_) {
-    NEURO_REQUIRE(p.features.size() == nf,
+  NEURO_REQUIRE(!prototypes.empty(), "KnnClassifier: need at least one prototype");
+  features_.reserve(prototypes.size() * channels_);
+  labels_.reserve(prototypes.size());
+  for (const auto& p : prototypes) {
+    NEURO_REQUIRE(p.features.size() == channels_,
                   "KnnClassifier: inconsistent prototype feature sizes");
+    features_.insert(features_.end(), p.features.begin(), p.features.end());
+    labels_.push_back(p.label);
   }
 }
 
-std::uint8_t KnnClassifier::classify(const std::vector<double>& feature) const {
-  NEURO_REQUIRE(feature.size() == prototypes_.front().features.size(),
-                "KnnClassifier::classify: feature size mismatch");
-  const int k = std::min<int>(k_, static_cast<int>(prototypes_.size()));
-
-  // Partial selection of the k smallest squared distances.
-  struct Hit {
-    double d2;
-    std::uint8_t label;
-  };
-  std::vector<Hit> best;
-  best.reserve(static_cast<std::size_t>(k) + 1);
-  for (const auto& p : prototypes_) {
+// The brute-force rule, restated without allocation: the same squared
+// distances accumulated in channel order, the same lower_bound insertion
+// (equal distances: later prototype first), the same vote order. A prototype
+// is abandoned once its partial distance reaches the k-th best — adding
+// non-negative squares never lowers a double sum, so it could not have been
+// inserted anyway.
+NEURO_BITEXACT
+std::uint8_t KnnClassifier::classify_features(const double* feature,
+                                              Scratch& scratch) const {
+  const int k = std::min<int>(k_, static_cast<int>(labels_.size()));
+  Hit* best = scratch.hits();
+  int held = 0;
+  const double* row = features_.data();
+  for (std::size_t p = 0; p < labels_.size(); ++p, row += channels_) {
     double d2 = 0.0;
-    for (std::size_t c = 0; c < feature.size(); ++c) {
-      const double diff = feature[c] - p.features[c];
+    bool pruned = false;
+    for (std::size_t c = 0; c < channels_; ++c) {
+      const double diff = feature[c] - row[c];
       d2 += diff * diff;
+      if (held == k && d2 >= best[k - 1].d2) {
+        pruned = true;
+        break;
+      }
     }
-    if (static_cast<int>(best.size()) < k || d2 < best.back().d2) {
-      const Hit h{d2, p.label};
-      const auto pos = std::lower_bound(
-          best.begin(), best.end(), h, [](const Hit& a, const Hit& b) { return a.d2 < b.d2; });
-      best.insert(pos, h);
-      if (static_cast<int>(best.size()) > k) best.pop_back();
+    if (pruned) continue;
+    if (held < k || d2 < best[k - 1].d2) {
+      const Hit h{d2, labels_[p]};
+      const int pos = static_cast<int>(
+          std::lower_bound(best, best + held, h,
+                           [](const Hit& a, const Hit& b) { return a.d2 < b.d2; }) -
+          best);
+      if (pos < k) {
+        for (int q = std::min(held, k - 1); q > pos; --q) best[q] = best[q - 1];
+        best[pos] = h;
+      }
+      if (held < k) ++held;
     }
   }
 
+  std::uint8_t winner = best[0].label;
   if (voting_ == Voting::kDistanceWeighted) {
-    // Inverse-square-distance weights (ε regularizes exact hits).
+    // Inverse-square-distance weights (ε regularizes exact hits), summed per
+    // label in distance order; labels compete in ascending order.
     constexpr double kEps = 1e-9;
-    std::map<std::uint8_t, double> weights;
-    for (const auto& h : best) weights[h.label] += 1.0 / (h.d2 + kEps);
-    std::uint8_t winner = best.front().label;
+    int distinct = 0;
+    for (int q = 0; q < held; ++q) {
+      const std::uint8_t l = best[q].label;
+      if (scratch.votes[l]++ == 0) scratch.voted[static_cast<std::size_t>(distinct++)] = l;
+      scratch.weights[l] += 1.0 / (best[q].d2 + kEps);
+    }
+    std::sort(scratch.voted.begin(), scratch.voted.begin() + distinct);
     double max_w = -1.0;
-    for (const auto& [lbl, w] : weights) {
-      if (w > max_w) {
-        max_w = w;
-        winner = lbl;
+    for (int q = 0; q < distinct; ++q) {
+      const std::uint8_t l = scratch.voted[static_cast<std::size_t>(q)];
+      if (scratch.weights[l] > max_w) {
+        max_w = scratch.weights[l];
+        winner = l;
       }
+      scratch.weights[l] = 0.0;
+      scratch.votes[l] = 0;
     }
     return winner;
   }
 
   // Majority vote; ties go to the label whose nearest hit is closest.
-  std::map<std::uint8_t, int> votes;
-  for (const auto& h : best) ++votes[h.label];
   int max_votes = 0;
-  for (const auto& [lbl, v] : votes) max_votes = std::max(max_votes, v);
-  for (const auto& h : best) {  // best is distance-sorted
-    if (votes[h.label] == max_votes) return h.label;
+  for (int q = 0; q < held; ++q) {
+    max_votes = std::max(max_votes, ++scratch.votes[best[q].label]);
   }
-  return best.front().label;
+  for (int q = 0; q < held; ++q) {  // best is distance-sorted
+    if (scratch.votes[best[q].label] == max_votes) {
+      winner = best[q].label;
+      break;
+    }
+  }
+  for (int q = 0; q < held; ++q) scratch.votes[best[q].label] = 0;
+  return winner;
+}
+
+std::uint8_t KnnClassifier::classify(const std::vector<double>& feature) const {
+  NEURO_REQUIRE(feature.size() == channels_,
+                "KnnClassifier::classify: feature size mismatch");
+  Scratch scratch(k_);
+  return classify_features(feature.data(), scratch);
 }
 
 void KnnClassifier::classify_slab(const FeatureStack& stack, int k_begin, int k_end,
                                   ImageL& out) const {
-  std::vector<double> feature;
-  const IVec3 d = stack.dims();
-  for (int k = k_begin; k < k_end; ++k) {
-    for (int j = 0; j < d.y; ++j) {
-      for (int i = 0; i < d.x; ++i) {
-        stack.feature_at(i, j, k, feature);
-        out(i, j, k) = classify(feature);
-      }
+  NEURO_REQUIRE(stack.channels() == channels_,
+                "KnnClassifier: stack/prototype channel count mismatch");
+  Scratch scratch(k_);
+  std::vector<const float*> data(channels_);
+  for (std::size_t c = 0; c < channels_; ++c) data[c] = stack.channel(c).data().data();
+  std::vector<double> feature(channels_);
+  const std::size_t end = out.index(0, 0, k_end);
+  for (std::size_t v = out.index(0, 0, k_begin); v < end; ++v) {
+    for (std::size_t c = 0; c < channels_; ++c) {
+      feature[c] = stack.weight(c) * static_cast<double>(data[c][v]);
     }
+    out.data()[v] = classify_features(feature.data(), scratch);
   }
 }
 
@@ -272,23 +345,18 @@ ImageL KnnClassifier::classify_volume_parallel(const FeatureStack& stack,
                                                par::Communicator& comm) const {
   const ImageF& ref = stack.channel(0);
   const IVec3 d = ref.dims();
-  const int nranks = comm.size();
-  const int rank = comm.rank();
   // Contiguous slice slabs, remainder spread over the first ranks.
-  const int base = d.z / nranks;
-  const int extra = d.z % nranks;
-  const int begin = rank * base + std::min(rank, extra);
-  const int end = begin + base + (rank < extra ? 1 : 0);
+  const par::BlockRange slab = par::block_range(d.z, comm.rank(), comm.size());
 
   ImageL out(d, 0, ref.spacing(), ref.origin());
-  classify_slab(stack, begin, end, out);
-  comm.work().add_flops(static_cast<double>(end - begin) * d.x * d.y *
-                        static_cast<double>(prototypes_.size()) *
+  classify_slab(stack, slab.begin, slab.end, out);
+  comm.work().add_flops(static_cast<double>(slab.end - slab.begin) * d.x * d.y *
+                        static_cast<double>(labels_.size()) *
                         (3.0 * static_cast<double>(stack.channels())));
 
   // Gather the slabs: each rank contributes its slice range.
-  const std::size_t slab_begin = out.index(0, 0, begin);
-  const std::size_t slab_len = out.index(0, 0, end) - slab_begin;
+  const std::size_t slab_begin = out.index(0, 0, slab.begin);
+  const std::size_t slab_len = out.index(0, 0, slab.end) - slab_begin;
   auto parts = comm.allgather_parts(std::span<const std::uint8_t>(
       out.data().data() + slab_begin, slab_len));
   std::size_t offset = 0;

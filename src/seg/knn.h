@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <vector>
 
 #include "base/rng.h"
@@ -22,9 +23,14 @@
 namespace neuro::seg {
 
 /// A stack of aligned scalar channels forming the classification feature space.
+/// Channels are immutable once added and held by shared ownership, so stacks
+/// built over the same channels (and the ranks classifying one stack) share
+/// their storage instead of copying volumes.
 class FeatureStack {
  public:
   void add_channel(ImageF channel, double weight = 1.0);
+  /// Appends every channel of `other`, with its weight, sharing the storage.
+  void add_channels(const FeatureStack& other);
 
   [[nodiscard]] std::size_t channels() const { return channels_.size(); }
   [[nodiscard]] IVec3 dims() const;
@@ -34,11 +40,11 @@ class FeatureStack {
   /// (resized to channels()).
   void feature_at(int i, int j, int k, std::vector<double>& out) const;
 
-  [[nodiscard]] const ImageF& channel(std::size_t c) const { return channels_[c]; }
+  [[nodiscard]] const ImageF& channel(std::size_t c) const { return *channels_[c]; }
   [[nodiscard]] double weight(std::size_t c) const { return weights_[c]; }
 
  private:
-  std::vector<ImageF> channels_;
+  std::vector<std::shared_ptr<const ImageF>> channels_;
   std::vector<double> weights_;
 };
 
@@ -88,7 +94,7 @@ class KnnClassifier {
                         ///< boundaries under class-imbalanced prototype sets
   };
 
-  KnnClassifier(std::vector<Prototype> prototypes, int k,
+  KnnClassifier(const std::vector<Prototype>& prototypes, int k,
                 Voting voting = Voting::kMajority);
 
   /// Label of a single feature vector (among the k nearest prototypes;
@@ -103,14 +109,23 @@ class KnnClassifier {
   [[nodiscard]] ImageL classify_volume_parallel(const FeatureStack& stack,
                                                 par::Communicator& comm) const;
 
-  [[nodiscard]] const std::vector<Prototype>& prototypes() const { return prototypes_; }
   [[nodiscard]] int k() const { return k_; }
 
  private:
+  struct Hit {
+    double d2;
+    std::uint8_t label;
+  };
+  struct Scratch;
+
+  [[nodiscard]] std::uint8_t classify_features(const double* feature,
+                                               Scratch& scratch) const;
   void classify_slab(const FeatureStack& stack, int k_begin, int k_end,
                      ImageL& out) const;
 
-  std::vector<Prototype> prototypes_;
+  std::size_t channels_;
+  std::vector<double> features_;      ///< prototype-major rows of channels_ values
+  std::vector<std::uint8_t> labels_;  ///< one per prototype, same order
   int k_;
   Voting voting_;
 };

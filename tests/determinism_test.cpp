@@ -190,5 +190,36 @@ TEST(DeterminismTest, MultiRankPipelineAndMetricsBitwiseStable) {
   }
 }
 
+TEST(DeterminismTest, RigidPipelineRankInvariant) {
+  // Registration and classification run on the FEM's ranks; their products
+  // must not depend on how many there are.
+  phantom::PhantomConfig pc;
+  pc.dims = {32, 32, 32};
+  pc.spacing = {3.5, 3.5, 3.5};
+  RigidTransform offset;
+  offset.translation = {3.0, -2.0, 1.0};
+  const auto cas = phantom::make_case(pc, phantom::ShiftConfig{}, offset);
+  core::PipelineConfig config = core::default_pipeline_config();
+  config.rigid.powell_iterations = 2;
+  std::vector<core::PipelineResult> results;
+  for (const int nranks : {1, 2, 4}) {
+    config.fem.nranks = nranks;
+    results.push_back(
+        core::run_intraop_pipeline(cas.preop, cas.preop_labels, cas.intraop, config));
+  }
+  const auto& ref = results.front();
+  const auto ref_params = ref.rigid.params();
+  for (std::size_t i = 1; i < results.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "run " << i);
+    const auto params = results[i].rigid.params();
+    EXPECT_EQ(std::memcmp(params.data(), ref_params.data(), sizeof(params)), 0);
+    EXPECT_EQ(std::memcmp(&results[i].rigid_mi, &ref.rigid_mi, sizeof(double)), 0);
+    EXPECT_EQ(results[i].aligned_preop.data(), ref.aligned_preop.data());
+    EXPECT_EQ(results[i].segmentation.labels.data(), ref.segmentation.labels.data());
+    EXPECT_EQ(results[i].preop_classified_labels.data(),
+              ref.preop_classified_labels.data());
+  }
+}
+
 }  // namespace
 }  // namespace neuro

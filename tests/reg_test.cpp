@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "base/check.h"
 #include "base/rng.h"
+#include "obs/trace.h"
+#include "par/communicator.h"
 #include "phantom/brain_phantom.h"
 #include "reg/mutual_information.h"
 #include "reg/rigid_registration.h"
@@ -177,6 +180,85 @@ TEST(RigidRegistrationTest, IdentityCaseStaysPut) {
   const auto p = result.transform.params();
   EXPECT_LT(std::abs(p[3]) + std::abs(p[4]) + std::abs(p[5]), 2.0);
   EXPECT_LT(std::abs(p[0]) + std::abs(p[1]) + std::abs(p[2]), 0.05);
+}
+
+phantom::PhantomCase offset_case(int n) {
+  phantom::PhantomConfig cfg;
+  cfg.dims = {n, n, n};
+  cfg.spacing = {3.5, 3.5, 3.5};
+  phantom::ShiftConfig noshift;
+  noshift.max_sink_mm = 0.0;
+  noshift.resection_collapse_mm = 0.0;
+  noshift.resect_tumor = false;
+  RigidTransform offset;
+  offset.translation = {3.0, -2.0, 1.5};
+  offset.rotation = {0.02, -0.03, 0.01};
+  return phantom::make_case(cfg, noshift, offset);
+}
+
+bool bitwise_equal(const RigidRegistrationResult& a, const RigidRegistrationResult& b) {
+  const auto pa = a.transform.params();
+  const auto pb = b.transform.params();
+  return std::memcmp(pa.data(), pb.data(), sizeof(pa)) == 0 &&
+         std::memcmp(&a.transform.center, &b.transform.center, sizeof(Vec3)) == 0 &&
+         std::memcmp(&a.mutual_information, &b.mutual_information, sizeof(double)) == 0 &&
+         a.level_mi.size() == b.level_mi.size() &&
+         std::memcmp(a.level_mi.data(), b.level_mi.data(),
+                     a.level_mi.size() * sizeof(double)) == 0 &&
+         a.metric_evaluations == b.metric_evaluations;
+}
+
+TEST(RigidRegistrationTest, RankInvariantAtOneTwoFourRanks) {
+  // Each rank histograms its own slab of samples and only integer counts are
+  // summed, so the Powell path — and every output bit — is the serial one.
+  const auto cas = offset_case(28);
+  for (const MetricKind metric :
+       {MetricKind::kMutualInformation, MetricKind::kMeanSquaredDifference}) {
+    RigidRegistrationConfig rcfg;
+    rcfg.metric = metric;
+    rcfg.powell_iterations = 2;
+    const RegistrationPyramid pyramid =
+        build_registration_pyramid(cas.intraop, cas.preop, rcfg);
+    const RigidRegistrationResult serial =
+        register_rigid_mi(cas.intraop, cas.preop, rcfg);
+    for (const int nranks : {1, 2, 4}) {
+      std::vector<RigidRegistrationResult> per_rank(static_cast<std::size_t>(nranks));
+      par::run_spmd(nranks, [&](par::Communicator& comm) {
+        per_rank[static_cast<std::size_t>(comm.rank())] =
+            register_rigid_mi(pyramid, rcfg, {}, &comm);
+      });
+      for (int r = 0; r < nranks; ++r) {
+        EXPECT_TRUE(bitwise_equal(per_rank[static_cast<std::size_t>(r)], serial))
+            << "metric " << static_cast<int>(metric) << " nranks " << nranks
+            << " rank " << r;
+      }
+    }
+  }
+}
+
+TEST(RigidRegistrationTest, TracedMiEvalSpansMatchEvaluationCount) {
+#ifdef NEURO_OBS_DISABLED
+  GTEST_SKIP() << "tracing compiled out";
+#endif
+  // One reg.mi_eval span per metric evaluation: the count perfbench reports
+  // as reg.mi_evals is the number of MI passes actually made.
+  const auto cas = offset_case(24);
+  RigidRegistrationConfig rcfg;
+  rcfg.powell_iterations = 2;
+  obs::global().clear();
+  obs::global().set_enabled(true);
+  const RigidRegistrationResult result = register_rigid_mi(cas.intraop, cas.preop, rcfg);
+  obs::global().set_enabled(false);
+  int mi_evals = 0;
+  int levels = 0;
+  for (const auto& e : obs::global().snapshot()) {
+    mi_evals += e.name == "reg.mi_eval";
+    levels += e.name == "reg.level";
+  }
+  obs::global().clear();
+  EXPECT_GT(result.metric_evaluations, 0);
+  EXPECT_EQ(mi_evals, result.metric_evaluations);
+  EXPECT_EQ(levels, rcfg.pyramid_levels);
 }
 
 }  // namespace

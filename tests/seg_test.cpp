@@ -2,6 +2,9 @@
 // segmentation driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "base/check.h"
 #include "par/communicator.h"
 #include "phantom/brain_phantom.h"
@@ -188,6 +191,111 @@ TEST(KnnTest, VotingModesAgreeWhenClear) {
   const ImageL a = majority.classify_volume(stack);
   const ImageL b = weighted.classify_volume(stack);
   EXPECT_DOUBLE_EQ(label_agreement(a, b), 1.0);
+}
+
+// The brute-force rule the classifier must reproduce bit for bit: full
+// distances, a sorted k-best vector with lower_bound insertion, std::map
+// tallies iterated in ascending label order.
+std::uint8_t brute_force_label(const std::vector<Prototype>& protos,
+                               const std::vector<double>& f, int k_req,
+                               KnnClassifier::Voting voting) {
+  struct Hit {
+    double d2;
+    std::uint8_t label;
+  };
+  const int k = std::min<int>(k_req, static_cast<int>(protos.size()));
+  std::vector<Hit> best;
+  for (const auto& p : protos) {
+    double d2 = 0.0;
+    for (std::size_t c = 0; c < f.size(); ++c) {
+      const double diff = f[c] - p.features[c];
+      d2 += diff * diff;
+    }
+    if (static_cast<int>(best.size()) < k || d2 < best.back().d2) {
+      const Hit h{d2, p.label};
+      best.insert(std::lower_bound(best.begin(), best.end(), h,
+                                   [](const Hit& a, const Hit& b) { return a.d2 < b.d2; }),
+                  h);
+      if (static_cast<int>(best.size()) > k) best.pop_back();
+    }
+  }
+  if (voting == KnnClassifier::Voting::kDistanceWeighted) {
+    std::map<std::uint8_t, double> weights;
+    for (const auto& h : best) weights[h.label] += 1.0 / (h.d2 + 1e-9);
+    std::uint8_t winner = best.front().label;
+    double max_w = -1.0;
+    for (const auto& [label, w] : weights) {
+      if (w > max_w) {
+        max_w = w;
+        winner = label;
+      }
+    }
+    return winner;
+  }
+  std::map<std::uint8_t, int> votes;
+  for (const auto& h : best) ++votes[h.label];
+  int max_votes = 0;
+  for (const auto& [label, v] : votes) max_votes = std::max(max_votes, v);
+  for (const auto& h : best) {
+    if (votes[h.label] == max_votes) return h.label;
+  }
+  return best.front().label;
+}
+
+TEST(KnnTest, RankInvariantAndMatchesBruteForce) {
+  // Small-integer features make equal distances (ties in both the k-best
+  // insertion and the votes) common; k runs from 1 past the prototype count,
+  // and beyond the classifier's on-stack hit buffer.
+  Rng rng(11);
+  FeatureStack stack;
+  for (int c = 0; c < 3; ++c) {
+    ImageF channel({9, 7, 11});
+    for (auto& v : channel.data()) v = static_cast<float>(rng.uniform_index(4));
+    stack.add_channel(std::move(channel), c == 0 ? 1.0 : 1.5);
+  }
+  const std::uint8_t labels[] = {1, 2, 3, 9};
+  for (const int nprotos : {12, 50}) {
+    std::vector<Prototype> protos;
+    for (int p = 0; p < nprotos; ++p) {
+      Prototype proto;
+      proto.label = labels[rng.uniform_index(4)];
+      for (int c = 0; c < 3; ++c) {
+        proto.features.push_back(static_cast<double>(rng.uniform_index(4)) *
+                                 (c == 0 ? 1.0 : 1.5));
+      }
+      protos.push_back(std::move(proto));
+    }
+    for (const int k : {1, 2, 4, 5, 12, 40, 64}) {
+      for (const auto voting : {KnnClassifier::Voting::kMajority,
+                                KnnClassifier::Voting::kDistanceWeighted}) {
+        SCOPED_TRACE(testing::Message() << "prototypes " << nprotos << " k " << k
+                                        << " voting " << static_cast<int>(voting));
+        ImageL reference(stack.dims());
+        std::vector<double> f;
+        const IVec3 d = stack.dims();
+        for (int z = 0; z < d.z; ++z) {
+          for (int y = 0; y < d.y; ++y) {
+            for (int x = 0; x < d.x; ++x) {
+              stack.feature_at(x, y, z, f);
+              reference(x, y, z) = brute_force_label(protos, f, k, voting);
+            }
+          }
+        }
+        const KnnClassifier knn(protos, k, voting);
+        EXPECT_EQ(knn.classify_volume(stack).data(), reference.data());
+        for (const int P : {1, 2, 3, 5}) {
+          std::vector<ImageL> per_rank(static_cast<std::size_t>(P));
+          par::run_spmd(P, [&](par::Communicator& comm) {
+            per_rank[static_cast<std::size_t>(comm.rank())] =
+                knn.classify_volume_parallel(stack, comm);
+          });
+          for (const auto& labels_of_rank : per_rank) {
+            EXPECT_EQ(labels_of_rank.data(), reference.data()) << "P=" << P;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(MetricsTest, DiceOfIdenticalIsOne) {
