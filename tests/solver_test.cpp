@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "base/check.h"
@@ -242,6 +243,10 @@ struct KrylovCase {
                       const Preconditioner&, const SolverConfig&, par::Communicator&);
   bool needs_spd;
 };
+
+// gtest otherwise prints the raw bytes, pointers included, into the test's
+// listed name, so the CTest name would change with every load address.
+void PrintTo(const KrylovCase& c, std::ostream* os) { *os << c.name; }
 
 class KrylovSolverTest
     : public ::testing::TestWithParam<std::tuple<KrylovCase, int>> {};
