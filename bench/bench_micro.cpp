@@ -109,6 +109,25 @@ void BM_KnnClassifyVolume(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(knn.classify_volume(stack));
   }
+  // One traced pass outside the timed loop: its seg.knn span carries the
+  // number of prototype distances the k-d tree search evaluated.
+  obs::global().clear();
+  obs::global().set_enabled(true);
+  benchmark::DoNotOptimize(knn.classify_volume(stack));
+  obs::global().set_enabled(false);
+  double evals = 0.0;
+  for (const auto& e : obs::global().snapshot()) {
+    if (e.name != "seg.knn") continue;
+    for (const auto& a : e.attrs) {
+      if (a.key == "distance_evals") evals += static_cast<double>(a.i);
+    }
+  }
+  obs::global().clear();
+  const auto voxels = static_cast<double>(stack.voxels());
+  // Inverted iteration-invariant rate: seconds per voxel (printed as ns).
+  state.counters["time_per_voxel"] = benchmark::Counter(
+      voxels, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  state.counters["evals_per_voxel"] = evals / voxels;
 }
 BENCHMARK(BM_KnnClassifyVolume)->Unit(benchmark::kMillisecond);
 

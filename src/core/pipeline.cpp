@@ -1,6 +1,8 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <cmath>
+#include <sstream>
 #include <type_traits>
 
 #include "base/check.h"
@@ -74,6 +76,20 @@ double PipelineResult::stage_seconds(const std::string& name) const {
   return 0.0;
 }
 
+base::Status check_finite_scan(const ImageF& scan, std::string_view what) {
+  const auto bad = std::find_if(scan.data().begin(), scan.data().end(),
+                                [](float v) { return !std::isfinite(v); });
+  if (bad == scan.data().end()) return {};
+  const auto v = static_cast<std::size_t>(bad - scan.data().begin());
+  const IVec3 d = scan.dims();
+  const std::size_t plane = static_cast<std::size_t>(d.x) * static_cast<std::size_t>(d.y);
+  std::ostringstream oss;
+  oss << what << " scan has a non-finite voxel (" << *bad << ") at ("
+      << v % static_cast<std::size_t>(d.x) << ',' << v % plane / static_cast<std::size_t>(d.x)
+      << ',' << v / plane << ')';
+  return {base::StatusCode::kFailedPrecondition, oss.str()};
+}
+
 PipelineResult run_intraop_pipeline(const ImageF& preop, const ImageL& preop_labels,
                                     const ImageF& intraop,
                                     const PipelineConfig& config,
@@ -83,6 +99,10 @@ PipelineResult run_intraop_pipeline(const ImageF& preop, const ImageL& preop_lab
                 "pipeline: preop image/labels dims mismatch");
   NEURO_REQUIRE(!config.brain_labels.empty(), "pipeline: brain_labels unset — "
                                               "start from default_pipeline_config()");
+  for (const base::Status& finite :
+       {check_finite_scan(preop, "preop"), check_finite_scan(intraop, "intraop")}) {
+    if (!finite.ok()) throw base::StatusError(finite);
+  }
   PipelineResult result;
   const base::DeadlineBudget budget(config.deadline_seconds);
   // The Fig. 6 StageTiming rows are views over these root spans: each stage's

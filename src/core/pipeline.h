@@ -11,9 +11,11 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/deadline.h"
+#include "base/status.h"
 #include "fem/deformation_solver.h"
 #include "fem/degradation.h"
 #include "image/image3d.h"
@@ -114,12 +116,19 @@ struct PipelineResult {
   [[nodiscard]] double stage_seconds(const std::string& name) const;
 };
 
+/// kFailedPrecondition naming the first NaN or infinite voxel of `scan`
+/// (`what` names the scan in the message); OK when every voxel is finite.
+/// Classification and the solve are only defined on finite intensities.
+[[nodiscard]] base::Status check_finite_scan(const ImageF& scan, std::string_view what);
+
 /// Runs the full pipeline on one intraoperative scan. When
 /// `reuse_prototypes` is non-null the statistical model is not re-selected:
 /// the recorded prototype locations are refreshed against the new scan (the
 /// paper's automatic model update for follow-up acquisitions). `last_good`
 /// (one Vec3 per mesh node, typically the previous scan's validated field)
-/// arms the ladder's final rung. Throws base::StatusError only when every
+/// arms the ladder's final rung. Throws base::StatusError with
+/// kFailedPrecondition, before any work, when `preop` or `intraop` holds a
+/// NaN or infinite voxel (check_finite_scan), and otherwise only when every
 /// ladder rung failed — no usable field exists at all.
 PipelineResult run_intraop_pipeline(const ImageF& preop, const ImageL& preop_labels,
                                     const ImageF& intraop,

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <iomanip>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -11,6 +12,7 @@
 #include "base/check.h"
 #include "base/numerics_annotations.h"
 #include "image/distance.h"
+#include "obs/trace.h"
 
 namespace neuro::seg {
 
@@ -194,25 +196,34 @@ void refresh_prototypes(std::vector<Prototype>& prototypes, const FeatureStack& 
   }
 }
 
-// Per-slab working memory of the voxel kernel: the k-best list and the vote
-// tallies live here, not on the heap per voxel. The tallies are indexed by
-// label and reset after every voxel, touching only the labels voted for.
+// Per-slab working memory of the voxel kernel: the running k smallest
+// distances, the prototypes the search measured, the replayed k-best list and
+// the vote tallies. The tallies are indexed by label and reset after every
+// voxel, touching only the labels voted for.
 struct KnnClassifier::Scratch {
-  static constexpr std::size_t kStackHits = 32;
-
-  explicit Scratch(int k) {
-    if (static_cast<std::size_t>(k) > kStackHits) {
-      heap_hits.resize(static_cast<std::size_t>(k));
-    }
+  Scratch(int k, std::size_t prototypes)
+      : kth_best(std::min(static_cast<std::size_t>(k), prototypes)),
+        hits(kth_best.size()) {
+    candidates.reserve(prototypes);
   }
-  Hit* hits() { return heap_hits.empty() ? stack_hits.data() : heap_hits.data(); }
 
-  std::array<Hit, kStackHits> stack_hits{};
-  std::vector<Hit> heap_hits;  ///< only for k > kStackHits
+  /// The k smallest distances measured so far, ascending, padded with +inf;
+  /// back() is the running k-th best.
+  std::vector<double> kth_best;
+  std::vector<Candidate> candidates;
+  std::vector<Hit> hits;
   std::array<int, 256> votes{};
   std::array<double, 256> weights{};
   std::array<std::uint8_t, 256> voted{};  ///< distinct labels among the hits
+  std::int64_t distance_evals = 0;
 };
+
+namespace {
+
+// Rows per k-d tree leaf.
+constexpr std::uint32_t kLeafSize = 16;
+
+}  // namespace
 
 KnnClassifier::KnnClassifier(const std::vector<Prototype>& prototypes, int k,
                              Voting voting)
@@ -221,43 +232,155 @@ KnnClassifier::KnnClassifier(const std::vector<Prototype>& prototypes, int k,
       voting_(voting) {
   NEURO_REQUIRE(k_ > 0, "KnnClassifier: k must be positive");
   NEURO_REQUIRE(!prototypes.empty(), "KnnClassifier: need at least one prototype");
-  features_.reserve(prototypes.size() * channels_);
+  NEURO_REQUIRE(prototypes.size() <= std::numeric_limits<std::int32_t>::max(),
+                "KnnClassifier: too many prototypes");
   labels_.reserve(prototypes.size());
   for (const auto& p : prototypes) {
     NEURO_REQUIRE(p.features.size() == channels_,
                   "KnnClassifier: inconsistent prototype feature sizes");
-    features_.insert(features_.end(), p.features.begin(), p.features.end());
+    NEURO_REQUIRE(std::all_of(p.features.begin(), p.features.end(),
+                              [](double v) { return std::isfinite(v); }),
+                  "KnnClassifier: non-finite prototype feature");
     labels_.push_back(p.label);
   }
+  std::vector<std::uint32_t> order(prototypes.size());
+  for (std::uint32_t p = 0; p < order.size(); ++p) order[p] = p;
+  build_node(order, 0, static_cast<std::uint32_t>(order.size()), prototypes);
+  features_.reserve(prototypes.size() * channels_);
+  for (const std::uint32_t p : order) {
+    features_.insert(features_.end(), prototypes[p].features.begin(),
+                     prototypes[p].features.end());
+  }
+  row_prototype_ = std::move(order);
 }
 
-// The brute-force rule, restated without allocation: the same squared
-// distances accumulated in channel order, the same lower_bound insertion
-// (equal distances: later prototype first), the same vote order. A prototype
-// is abandoned once its partial distance reaches the k-th best — adding
-// non-negative squares never lowers a double sum, so it could not have been
-// inserted anyway.
+// Splits at the median of the widest channel of the node's bounding box. The
+// split only orders the search; pruning uses the tight boxes, so rows equal to
+// the split value may fall on either side. The (value, index) order makes the
+// tree the same on every platform.
+std::size_t KnnClassifier::build_node(std::vector<std::uint32_t>& order,
+                                      std::uint32_t begin, std::uint32_t end,
+                                      const std::vector<Prototype>& prototypes) {
+  const std::size_t node = nodes_.size();
+  nodes_.push_back({begin, end, -1, 0, 0.0});
+  const std::size_t box = boxes_.size();
+  boxes_.resize(box + 2 * channels_);
+  double* lo = boxes_.data() + box;
+  double* hi = lo + channels_;
+  const std::vector<double>& first = prototypes[order[begin]].features;
+  std::copy(first.begin(), first.end(), lo);
+  std::copy(first.begin(), first.end(), hi);
+  for (std::uint32_t r = begin + 1; r < end; ++r) {
+    const std::vector<double>& f = prototypes[order[r]].features;
+    for (std::size_t c = 0; c < channels_; ++c) {
+      lo[c] = std::min(lo[c], f[c]);
+      hi[c] = std::max(hi[c], f[c]);
+    }
+  }
+  std::size_t dim = 0;
+  for (std::size_t c = 1; c < channels_; ++c) {
+    if (hi[c] - lo[c] > hi[dim] - lo[dim]) dim = c;
+  }
+  if (end - begin <= kLeafSize || !(hi[dim] > lo[dim])) return node;
+
+  const std::uint32_t mid = begin + (end - begin) / 2;
+  std::nth_element(order.begin() + begin, order.begin() + mid, order.begin() + end,
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     const double va = prototypes[a].features[dim];
+                     const double vb = prototypes[b].features[dim];
+                     return va < vb || (!(vb < va) && a < b);
+                   });
+  nodes_[node].dim = static_cast<std::uint32_t>(dim);
+  nodes_[node].split = prototypes[order[mid]].features[dim];
+  build_node(order, begin, mid, prototypes);
+  nodes_[node].right = static_cast<std::int32_t>(build_node(order, mid, end, prototypes));
+  return node;
+}
+
+// Squared distance from `feature` to the node's box, summed in channel order.
+// For any row in the box each term is ≤ that row's term of d2 (rounding is
+// monotone), and adding non-negative terms never lowers a double, so the
+// bound is ≤ the row's computed d2.
+NEURO_BITEXACT
+double KnnClassifier::box_bound(std::size_t node, const double* feature) const {
+  const double* lo = boxes_.data() + 2 * channels_ * node;
+  const double* hi = lo + channels_;
+  double bound = 0.0;
+  for (std::size_t c = 0; c < channels_; ++c) {
+    double gap = 0.0;
+    if (feature[c] < lo[c]) {
+      gap = lo[c] - feature[c];
+    } else if (feature[c] > hi[c]) {
+      gap = feature[c] - hi[c];
+    }
+    bound += gap * gap;
+  }
+  return bound;
+}
+
+// Measures every prototype whose distance could be ≤ the running k-th best and
+// keeps each one whose distance was ≤ it when measured. The near child is
+// searched first; the far one is skipped only when its box bound is strictly
+// greater than the running k-th best, which never falls below the final one,
+// so every prototype at or inside the final k-th distance is kept.
+NEURO_BITEXACT
+void KnnClassifier::search(std::size_t node, const double* feature,
+                           Scratch& scratch) const {
+  const Node& n = nodes_[node];
+  std::vector<double>& kth_best = scratch.kth_best;
+  if (n.right < 0) {
+    const double* row = features_.data() + n.begin * channels_;
+    for (std::uint32_t r = n.begin; r < n.end; ++r, row += channels_) {
+      ++scratch.distance_evals;
+      double d2 = 0.0;
+      for (std::size_t c = 0; c < channels_; ++c) {
+        const double diff = feature[c] - row[c];
+        d2 += diff * diff;
+      }
+      if (d2 > kth_best.back()) continue;
+      scratch.candidates.push_back({row_prototype_[r], d2});
+      if (!(d2 < kth_best.back())) continue;
+      std::size_t q = kth_best.size() - 1;
+      for (; q > 0 && kth_best[q - 1] > d2; --q) kth_best[q] = kth_best[q - 1];
+      kth_best[q] = d2;
+    }
+    return;
+  }
+  std::size_t near = node + 1;
+  std::size_t far = static_cast<std::size_t>(n.right);
+  if (!(feature[n.dim] < n.split)) std::swap(near, far);
+  search(near, feature, scratch);
+  if (box_bound(far, feature) <= kth_best.back()) search(far, feature, scratch);
+}
+
+// The linear scan's result depends only on the prototypes whose d2 is ≤ the
+// final k-th best, taken in prototype order: a farther one may enter its
+// k-best list, but only behind all of them, and is pushed out by the end. The
+// search keeps a superset of them, so replaying the scan's lower_bound
+// insertion (equal distances: later prototype first) over the kept
+// prototypes in index order, then the same vote, gives the scan's label.
 NEURO_BITEXACT
 std::uint8_t KnnClassifier::classify_features(const double* feature,
                                               Scratch& scratch) const {
-  const int k = std::min<int>(k_, static_cast<int>(labels_.size()));
-  Hit* best = scratch.hits();
+  std::fill(scratch.kth_best.begin(), scratch.kth_best.end(),
+            std::numeric_limits<double>::infinity());
+  scratch.candidates.clear();
+  search(0, feature, scratch);
+  const double kth = scratch.kth_best.back();
+  auto& cands = scratch.candidates;
+  cands.erase(std::remove_if(cands.begin(), cands.end(),
+                             [kth](const Candidate& c) { return c.d2 > kth; }),
+              cands.end());
+  std::sort(cands.begin(), cands.end(), [](const Candidate& a, const Candidate& b) {
+    return a.prototype < b.prototype;
+  });
+
+  const int k = static_cast<int>(scratch.hits.size());
+  Hit* best = scratch.hits.data();
   int held = 0;
-  const double* row = features_.data();
-  for (std::size_t p = 0; p < labels_.size(); ++p, row += channels_) {
-    double d2 = 0.0;
-    bool pruned = false;
-    for (std::size_t c = 0; c < channels_; ++c) {
-      const double diff = feature[c] - row[c];
-      d2 += diff * diff;
-      if (held == k && d2 >= best[k - 1].d2) {
-        pruned = true;
-        break;
-      }
-    }
-    if (pruned) continue;
-    if (held < k || d2 < best[k - 1].d2) {
-      const Hit h{d2, labels_[p]};
+  for (const Candidate& cand : cands) {
+    if (held < k || cand.d2 < best[k - 1].d2) {
+      const Hit h{cand.d2, labels_[cand.prototype]};
       const int pos = static_cast<int>(
           std::lower_bound(best, best + held, h,
                            [](const Hit& a, const Hit& b) { return a.d2 < b.d2; }) -
@@ -313,25 +436,36 @@ std::uint8_t KnnClassifier::classify_features(const double* feature,
 std::uint8_t KnnClassifier::classify(const std::vector<double>& feature) const {
   NEURO_REQUIRE(feature.size() == channels_,
                 "KnnClassifier::classify: feature size mismatch");
-  Scratch scratch(k_);
+  NEURO_REQUIRE(std::all_of(feature.begin(), feature.end(),
+                            [](double v) { return std::isfinite(v); }),
+                "KnnClassifier::classify: non-finite feature");
+  Scratch scratch(k_, labels_.size());
   return classify_features(feature.data(), scratch);
 }
 
-void KnnClassifier::classify_slab(const FeatureStack& stack, int k_begin, int k_end,
-                                  ImageL& out) const {
+std::int64_t KnnClassifier::classify_slab(const FeatureStack& stack, int k_begin,
+                                          int k_end, ImageL& out) const {
   NEURO_REQUIRE(stack.channels() == channels_,
                 "KnnClassifier: stack/prototype channel count mismatch");
-  Scratch scratch(k_);
+  obs::Span span = obs::global_span("seg.knn");
+  Scratch scratch(k_, labels_.size());
   std::vector<const float*> data(channels_);
   for (std::size_t c = 0; c < channels_; ++c) data[c] = stack.channel(c).data().data();
   std::vector<double> feature(channels_);
+  const std::size_t begin = out.index(0, 0, k_begin);
   const std::size_t end = out.index(0, 0, k_end);
-  for (std::size_t v = out.index(0, 0, k_begin); v < end; ++v) {
+  for (std::size_t v = begin; v < end; ++v) {
     for (std::size_t c = 0; c < channels_; ++c) {
       feature[c] = stack.weight(c) * static_cast<double>(data[c][v]);
+      NEURO_REQUIRE(std::isfinite(feature[c]), "KnnClassifier: non-finite feature");
     }
     out.data()[v] = classify_features(feature.data(), scratch);
   }
+  if (span.active()) {
+    span.attr("voxels", static_cast<std::int64_t>(end - begin));
+    span.attr("distance_evals", scratch.distance_evals);
+  }
+  return scratch.distance_evals;
 }
 
 ImageL KnnClassifier::classify_volume(const FeatureStack& stack) const {
@@ -349,10 +483,9 @@ ImageL KnnClassifier::classify_volume_parallel(const FeatureStack& stack,
   const par::BlockRange slab = par::block_range(d.z, comm.rank(), comm.size());
 
   ImageL out(d, 0, ref.spacing(), ref.origin());
-  classify_slab(stack, slab.begin, slab.end, out);
-  comm.work().add_flops(static_cast<double>(slab.end - slab.begin) * d.x * d.y *
-                        static_cast<double>(labels_.size()) *
-                        (3.0 * static_cast<double>(stack.channels())));
+  const std::int64_t evals = classify_slab(stack, slab.begin, slab.end, out);
+  comm.work().add_flops(static_cast<double>(evals) *
+                        (3.0 * static_cast<double>(channels_)));
 
   // Gather the slabs: each rank contributes its slice range.
   const std::size_t slab_begin = out.index(0, 0, slab.begin);

@@ -7,8 +7,9 @@
 // once per surgery (< 5 min interaction) and reused — their *spatial
 // locations* are recorded so the statistical model updates automatically on
 // later scans. We reproduce that structure: prototypes are (feature, label)
-// pairs with recorded voxel locations; classification is brute-force k-NN,
-// parallelized over image slabs with neuro::par.
+// pairs with recorded voxel locations; classification is exact k-NN over a
+// k-d tree of the prototype features, parallelized over image slabs with
+// neuro::par.
 #pragma once
 
 #include <cstdint>
@@ -84,7 +85,13 @@ std::vector<Prototype> select_prototypes_robust(
 /// prototype *locations* persist, their signals are re-read).
 void refresh_prototypes(std::vector<Prototype>& prototypes, const FeatureStack& stack);
 
-/// Brute-force k-NN classifier.
+/// Exact k-NN classifier. The prototype features are indexed by a k-d tree
+/// built once per classifier; a voxel's search measures only the prototypes
+/// whose leaf boxes could hold one of its k nearest, then replays the linear
+/// scan's decision rule on them. Labels are bit-identical to that scan:
+/// squared distances summed in channel order, equal distances ordered later
+/// prototype first, the same votes and tie breaks (docs/perf.md,
+/// "Registration and classification"). Prototype features must be finite.
 class KnnClassifier {
  public:
   /// How the k nearest prototypes combine into a decision.
@@ -106,6 +113,7 @@ class KnnClassifier {
 
   /// SPMD classification: each rank classifies a contiguous slab of slices,
   /// results are allgathered so every rank returns the full label volume.
+  /// The tree is shared read-only by the ranks.
   [[nodiscard]] ImageL classify_volume_parallel(const FeatureStack& stack,
                                                 par::Communicator& comm) const;
 
@@ -116,16 +124,39 @@ class KnnClassifier {
     double d2;
     std::uint8_t label;
   };
+  /// A prototype measured by the search, by its index in the prototype list.
+  struct Candidate {
+    std::uint32_t prototype;
+    double d2;
+  };
+  /// A k-d tree node over rows [begin, end) of features_. Nodes are stored in
+  /// preorder, so an internal node's left child is the next node.
+  struct Node {
+    std::uint32_t begin;
+    std::uint32_t end;
+    std::int32_t right;  ///< right child; negative for a leaf
+    std::uint32_t dim;   ///< split channel and value: the search first
+    double split;        ///< visits the side of `split` holding the voxel
+  };
   struct Scratch;
 
+  std::size_t build_node(std::vector<std::uint32_t>& order, std::uint32_t begin,
+                         std::uint32_t end, const std::vector<Prototype>& prototypes);
+  [[nodiscard]] double box_bound(std::size_t node, const double* feature) const;
+  void search(std::size_t node, const double* feature, Scratch& scratch) const;
   [[nodiscard]] std::uint8_t classify_features(const double* feature,
                                                Scratch& scratch) const;
-  void classify_slab(const FeatureStack& stack, int k_begin, int k_end,
-                     ImageL& out) const;
+  /// Classifies slices [k_begin, k_end) under a "seg.knn" span; returns the
+  /// number of prototype distances the searches evaluated.
+  std::int64_t classify_slab(const FeatureStack& stack, int k_begin, int k_end,
+                             ImageL& out) const;
 
   std::size_t channels_;
-  std::vector<double> features_;      ///< prototype-major rows of channels_ values
-  std::vector<std::uint8_t> labels_;  ///< one per prototype, same order
+  std::vector<double> features_;       ///< prototype rows of channels_ values, tree order
+  std::vector<std::uint32_t> row_prototype_;  ///< prototype index of each row
+  std::vector<std::uint8_t> labels_;   ///< one per prototype, prototype order
+  std::vector<Node> nodes_;            ///< preorder; nodes_[0] is the root
+  std::vector<double> boxes_;          ///< per node: channels_ lows, then highs
   int k_;
   Voting voting_;
 };

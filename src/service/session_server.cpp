@@ -151,6 +151,8 @@ SessionServer::~SessionServer() { shutdown(); }
 
 SessionId SessionServer::open_session(ImageF preop, ImageL preop_labels,
                                       core::PipelineConfig config) {
+  base::Status finite = core::check_finite_scan(preop, "preop");
+  if (!finite.ok()) throw base::StatusError(std::move(finite));
   auto state = std::make_unique<SessionState>();
   state->preop = std::move(preop);
   state->labels = std::move(preop_labels);
@@ -203,6 +205,8 @@ base::Outcome<RequestTicket> SessionServer::submit(
     oss << "SessionServer: unknown session " << session.value();
     return reject({base::StatusCode::kFailedPrecondition, oss.str()});
   }
+  base::Status finite = core::check_finite_scan(intraop, "intraop");
+  if (!finite.ok()) return reject(std::move(finite), &ServerStats::rejected_invalid_scan);
 
   const double deadline_seconds = request_options.deadline_seconds < 0.0
                                       ? options_.default_deadline_seconds
@@ -451,7 +455,8 @@ void SessionServer::publish_snapshot(std::ostream& os) {
      << stats.rejected_queue_full << R"(,"rejected_deadline":)"
      << stats.rejected_deadline << R"(,"rejected_unknown_session":)"
      << stats.rejected_unknown_session << R"(,"rejected_draining":)"
-     << stats.rejected_draining << R"(,"completed":)" << stats.completed
+     << stats.rejected_draining << R"(,"rejected_invalid_scan":)"
+     << stats.rejected_invalid_scan << R"(,"completed":)" << stats.completed
      << R"(,"usable":)" << stats.usable << R"(,"degraded":)" << stats.degraded
      << R"(,"failed":)" << stats.failed << R"(,"retries":)" << stats.retries
      << R"(,"crashes":)" << stats.crashes << R"(,"resumes":)" << stats.resumes
@@ -666,24 +671,29 @@ void SessionServer::finish(RequestReport report) {
   completion_cv_.notify_all();
 }
 
-base::Status SessionServer::reject(base::Status status) {
+base::Status SessionServer::reject(base::Status status,
+                                   std::int64_t ServerStats::*counter) {
   int rejections = 0;
   bool storm = false;
   {
     base::MutexLock lock(state_mutex_);
-    switch (status.code()) {
-      case base::StatusCode::kResourceExhausted:
-        ++stats_.rejected_queue_full;
-        break;
-      case base::StatusCode::kDeadlineExceeded:
-        ++stats_.rejected_deadline;
-        break;
-      case base::StatusCode::kFailedPrecondition:
-        ++stats_.rejected_unknown_session;
-        break;
-      default:
-        ++stats_.rejected_draining;
-        break;
+    if (counter != nullptr) {
+      ++(stats_.*counter);
+    } else {
+      switch (status.code()) {
+        case base::StatusCode::kResourceExhausted:
+          ++stats_.rejected_queue_full;
+          break;
+        case base::StatusCode::kDeadlineExceeded:
+          ++stats_.rejected_deadline;
+          break;
+        case base::StatusCode::kFailedPrecondition:
+          ++stats_.rejected_unknown_session;
+          break;
+        default:
+          ++stats_.rejected_draining;
+          break;
+      }
     }
     ++consecutive_rejections_;
     rejections = consecutive_rejections_;

@@ -132,7 +132,7 @@ struct RequestReport {
 };
 
 /// Aggregate lifetime counters (ServerStats::submitted ==
-/// admitted + the four rejection counters; admitted == usable + failed).
+/// admitted + the five rejection counters; admitted == usable + failed).
 struct ServerStats {
   std::int64_t submitted = 0;
   std::int64_t admitted = 0;
@@ -140,6 +140,7 @@ struct ServerStats {
   std::int64_t rejected_deadline = 0;
   std::int64_t rejected_unknown_session = 0;
   std::int64_t rejected_draining = 0;
+  std::int64_t rejected_invalid_scan = 0;  ///< a NaN or infinite voxel
   std::int64_t completed = 0;  ///< admitted requests that reached a report
   std::int64_t usable = 0;     ///< completed with a usable field
   std::int64_t degraded = 0;   ///< usable but from a fallback rung
@@ -215,7 +216,8 @@ class SessionServer {
   SessionServer& operator=(const SessionServer&) = delete;
 
   /// Registers a case: the preoperative data and the pipeline config every
-  /// scan of this session will run with.
+  /// scan of this session will run with. Throws base::StatusError
+  /// (kFailedPrecondition) when `preop` holds a NaN or infinite voxel.
   [[nodiscard]] SessionId open_session(ImageF preop, ImageL preop_labels,
                                        core::PipelineConfig config)
       NEURO_EXCLUDES(state_mutex_);
@@ -232,8 +234,9 @@ class SessionServer {
 
   /// Admission control + enqueue. Returns a ticket to wait() on, or a typed
   /// rejection: kUnavailable (draining/shut down), kFailedPrecondition
-  /// (unknown session), kDeadlineExceeded (predicted cost exceeds the
-  /// budget), kResourceExhausted (queue full).
+  /// (unknown session, or a NaN or infinite voxel in `intraop`),
+  /// kDeadlineExceeded (predicted cost exceeds the budget),
+  /// kResourceExhausted (queue full).
   [[nodiscard]] base::Outcome<RequestTicket> submit(SessionId session,
                                                     ImageF intraop,
                                                     RequestOptions options = {})
@@ -305,7 +308,10 @@ class SessionServer {
   /// popped it from the queue): typed kUnavailable, never silently dropped.
   [[nodiscard]] RequestReport abandon(PendingRequest request) const;
   void finish(RequestReport report) NEURO_EXCLUDES(state_mutex_);
-  [[nodiscard]] base::Status reject(base::Status status)
+  /// Counts a rejected submission under `counter`, or by status code when
+  /// null, and returns `status`.
+  [[nodiscard]] base::Status reject(base::Status status,
+                                    std::int64_t ServerStats::*counter = nullptr)
       NEURO_EXCLUDES(state_mutex_);
   [[nodiscard]] SessionState* find_session(SessionId session) const
       NEURO_EXCLUDES(state_mutex_);

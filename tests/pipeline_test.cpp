@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "core/evaluation.h"
@@ -190,6 +192,22 @@ TEST(PipelineVariantsTest, MissingBrainLabelsRejected) {
   EXPECT_THROW(
       run_intraop_pipeline(cas.preop, cas.preop_labels, cas.intraop, config),
       CheckError);
+}
+
+TEST(PipelineVariantsTest, NonFiniteScanRejectedBeforeWork) {
+  phantom::PhantomConfig pcfg;
+  pcfg.dims = {32, 32, 32};
+  const auto cas = phantom::make_case(pcfg, phantom::ShiftConfig{});
+  ImageF scan = cas.intraop;
+  scan(3, 2, 1) = std::numeric_limits<float>::quiet_NaN();
+  try {
+    static_cast<void>(run_intraop_pipeline(cas.preop, cas.preop_labels, scan,
+                                           default_pipeline_config()));
+    ADD_FAILURE() << "the pipeline accepted a NaN voxel";
+  } catch (const base::StatusError& e) {
+    EXPECT_EQ(e.status().code(), base::StatusCode::kFailedPrecondition);
+    EXPECT_NE(e.status().message().find("intraop"), std::string::npos);
+  }
 }
 
 }  // namespace

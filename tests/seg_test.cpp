@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
+#include <limits>
 #include <map>
 
 #include "base/check.h"
+#include "obs/trace.h"
 #include "par/communicator.h"
 #include "phantom/brain_phantom.h"
 #include "seg/intraop.h"
@@ -242,10 +246,44 @@ std::uint8_t brute_force_label(const std::vector<Prototype>& protos,
   return best.front().label;
 }
 
+// Classifies `stack` by brute force, serially, on 1, 2 and 4 ranks, and
+// expects the three to agree voxel for voxel.
+void expect_matches_brute_force(const FeatureStack& stack,
+                                const std::vector<Prototype>& protos, int k,
+                                KnnClassifier::Voting voting,
+                                std::initializer_list<int> ranks) {
+  ImageL reference(stack.dims());
+  std::vector<double> f;
+  const IVec3 d = stack.dims();
+  for (int z = 0; z < d.z; ++z) {
+    for (int y = 0; y < d.y; ++y) {
+      for (int x = 0; x < d.x; ++x) {
+        stack.feature_at(x, y, z, f);
+        reference(x, y, z) = brute_force_label(protos, f, k, voting);
+      }
+    }
+  }
+  const KnnClassifier knn(protos, k, voting);
+  EXPECT_EQ(knn.classify_volume(stack).data(), reference.data());
+  for (const int P : ranks) {
+    std::vector<ImageL> per_rank(static_cast<std::size_t>(P));
+    par::run_spmd(P, [&](par::Communicator& comm) {
+      per_rank[static_cast<std::size_t>(comm.rank())] =
+          knn.classify_volume_parallel(stack, comm);
+    });
+    for (const auto& labels_of_rank : per_rank) {
+      EXPECT_EQ(labels_of_rank.data(), reference.data()) << "P=" << P;
+    }
+  }
+}
+
 TEST(KnnTest, RankInvariantAndMatchesBruteForce) {
   // Small-integer features make equal distances (ties in both the k-best
   // insertion and the votes) common; k runs from 1 past the prototype count,
-  // and beyond the classifier's on-stack hit buffer.
+  // and the counts reach trees several levels deep. Every k-d split value is
+  // a prototype coordinate, so on this grid many rows lie exactly on split
+  // planes; a tail of exact duplicates with different labels puts equal rows
+  // in one leaf and across sibling leaves.
   Rng rng(11);
   FeatureStack stack;
   for (int c = 0; c < 3; ++c) {
@@ -254,7 +292,7 @@ TEST(KnnTest, RankInvariantAndMatchesBruteForce) {
     stack.add_channel(std::move(channel), c == 0 ? 1.0 : 1.5);
   }
   const std::uint8_t labels[] = {1, 2, 3, 9};
-  for (const int nprotos : {12, 50}) {
+  for (const int nprotos : {12, 50, 300, 1000}) {
     std::vector<Prototype> protos;
     for (int p = 0; p < nprotos; ++p) {
       Prototype proto;
@@ -265,37 +303,126 @@ TEST(KnnTest, RankInvariantAndMatchesBruteForce) {
       }
       protos.push_back(std::move(proto));
     }
+    for (int p = 0; p < nprotos / 4; ++p) {
+      Prototype copy = protos[rng.uniform_index(protos.size())];
+      copy.label = labels[(std::find(std::begin(labels), std::end(labels), copy.label) -
+                           std::begin(labels) + 1) % 4];
+      protos.push_back(std::move(copy));
+    }
     for (const int k : {1, 2, 4, 5, 12, 40, 64}) {
       for (const auto voting : {KnnClassifier::Voting::kMajority,
                                 KnnClassifier::Voting::kDistanceWeighted}) {
-        SCOPED_TRACE(testing::Message() << "prototypes " << nprotos << " k " << k
+        SCOPED_TRACE(testing::Message() << "prototypes " << protos.size() << " k " << k
                                         << " voting " << static_cast<int>(voting));
-        ImageL reference(stack.dims());
-        std::vector<double> f;
-        const IVec3 d = stack.dims();
-        for (int z = 0; z < d.z; ++z) {
-          for (int y = 0; y < d.y; ++y) {
-            for (int x = 0; x < d.x; ++x) {
-              stack.feature_at(x, y, z, f);
-              reference(x, y, z) = brute_force_label(protos, f, k, voting);
-            }
-          }
-        }
-        const KnnClassifier knn(protos, k, voting);
-        EXPECT_EQ(knn.classify_volume(stack).data(), reference.data());
-        for (const int P : {1, 2, 3, 5}) {
-          std::vector<ImageL> per_rank(static_cast<std::size_t>(P));
-          par::run_spmd(P, [&](par::Communicator& comm) {
-            per_rank[static_cast<std::size_t>(comm.rank())] =
-                knn.classify_volume_parallel(stack, comm);
-          });
-          for (const auto& labels_of_rank : per_rank) {
-            EXPECT_EQ(labels_of_rank.data(), reference.data()) << "P=" << P;
-          }
-        }
+        expect_matches_brute_force(stack, protos, k, voting, {1, 2, 3, 5});
       }
     }
   }
+}
+
+// The pipeline's feature space on a 32³ phantom: the intraoperative scan plus
+// five saturated-DT channels, and its robustly selected prototypes.
+struct PhantomKnnCase {
+  FeatureStack stack;
+  std::vector<Prototype> prototypes;
+};
+
+const PhantomKnnCase& phantom_knn_case() {
+  static const PhantomKnnCase cas = [] {
+    phantom::PhantomConfig pcfg;
+    pcfg.dims = {32, 32, 32};
+    pcfg.spacing = {6.0, 6.0, 5.0};
+    const auto ph = phantom::make_case(pcfg, phantom::ShiftConfig{});
+    IntraopSegmentationConfig cfg;
+    cfg.classes = {phantom::label(Tissue::kBackground), phantom::label(Tissue::kSkin),
+                   phantom::label(Tissue::kSkullGap), phantom::label(Tissue::kBrain),
+                   phantom::label(Tissue::kVentricle)};
+    cfg.exclude_classes = {phantom::label(Tissue::kFalx),
+                           phantom::label(Tissue::kTumor)};
+    PhantomKnnCase c;
+    c.stack = build_feature_stack(ph.intraop, ph.preop_labels, cfg);
+    c.prototypes = model_prototypes(c.stack, ph.preop_labels, cfg);
+    return c;
+  }();
+  return cas;
+}
+
+TEST(KnnTest, IndexMatchesBruteForceOnPhantomStack) {
+  const PhantomKnnCase& cas = phantom_knn_case();
+  ASSERT_EQ(cas.stack.channels(), 6u);
+  ASSERT_GT(cas.prototypes.size(), 200u);
+  for (const int k : {1, 5, 32}) {
+    for (const auto voting : {KnnClassifier::Voting::kMajority,
+                              KnnClassifier::Voting::kDistanceWeighted}) {
+      SCOPED_TRACE(testing::Message() << "k " << k << " voting "
+                                      << static_cast<int>(voting));
+      expect_matches_brute_force(cas.stack, cas.prototypes, k, voting, {2, 4});
+    }
+  }
+}
+
+TEST(KnnTest, SlabSpansSumToSerialCount) {
+#ifdef NEURO_OBS_DISABLED
+  GTEST_SKIP() << "tracing compiled out";
+#endif
+  // One seg.knn span per rank slab; the distance evaluations of the slabs
+  // add up to those of the serial pass, and the index skips most rows.
+  const PhantomKnnCase& cas = phantom_knn_case();
+  const KnnClassifier knn(cas.prototypes, 5);
+  auto knn_spans = [&](int nranks) {
+    std::int64_t voxels = 0;
+    std::int64_t evals = 0;
+    int spans = 0;
+    obs::global().clear();
+    obs::global().set_enabled(true);
+    if (nranks == 0) {
+      static_cast<void>(knn.classify_volume(cas.stack));
+    } else {
+      par::run_spmd(nranks, [&](par::Communicator& comm) {
+        static_cast<void>(knn.classify_volume_parallel(cas.stack, comm));
+      });
+    }
+    obs::global().set_enabled(false);
+    for (const auto& e : obs::global().snapshot()) {
+      if (e.name != "seg.knn") continue;
+      ++spans;
+      for (const auto& a : e.attrs) {
+        if (a.key == "voxels") voxels += a.i;
+        if (a.key == "distance_evals") evals += a.i;
+      }
+    }
+    obs::global().clear();
+    return std::array<std::int64_t, 3>{spans, voxels, evals};
+  };
+  const auto serial = knn_spans(0);
+  const auto total_voxels = static_cast<std::int64_t>(cas.stack.voxels());
+  EXPECT_EQ(serial[0], 1);
+  EXPECT_EQ(serial[1], total_voxels);
+  EXPECT_GT(serial[2], total_voxels);
+  EXPECT_LT(serial[2],
+            total_voxels * static_cast<std::int64_t>(cas.prototypes.size()) / 4);
+  for (const int P : {2, 3}) {
+    const auto parallel = knn_spans(P);
+    EXPECT_EQ(parallel[0], P);
+    EXPECT_EQ(parallel[1], serial[1]);
+    EXPECT_EQ(parallel[2], serial[2]);
+  }
+}
+
+TEST(KnnTest, RejectsNonFiniteFeatures) {
+  std::vector<Prototype> protos = {{{0, 0, 0}, 1, {0.0, 0.0}},
+                                   {{1, 0, 0}, 2, {1.0, 1.0}}};
+  const KnnClassifier knn(protos, 1);
+  EXPECT_THROW((void)knn.classify({std::nan(""), 0.0}), CheckError);
+  FeatureStack stack;
+  for (int c = 0; c < 2; ++c) {
+    ImageF channel({4, 4, 4}, 0.5f);
+    if (c == 1) channel(2, 1, 3) = std::numeric_limits<float>::quiet_NaN();
+    stack.add_channel(std::move(channel));
+  }
+  EXPECT_THROW((void)knn.classify_volume(stack), CheckError);
+  protos[1].features[0] = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(KnnClassifier(protos, 1), CheckError);
 }
 
 TEST(MetricsTest, DiceOfIdenticalIsOne) {

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -153,6 +154,37 @@ TEST_F(ServiceTest, SaturationRejectsTypedAndShutdownLosesNothing) {
   auto after = server.submit(session, (*cases_)[0].intraop);
   ASSERT_FALSE(after.ok());
   EXPECT_EQ(after.status().code(), base::StatusCode::kUnavailable);
+}
+
+TEST_F(ServiceTest, NonFiniteScansRejectedBeforeQueueing) {
+  ServerOptions options;
+  options.workers = 0;
+  SessionServer server(options);
+  const SessionId session = open_session(server);
+
+  ImageF scan = (*cases_)[1].intraop;
+  scan(5, 6, 7) = std::numeric_limits<float>::quiet_NaN();
+  auto rejected = server.submit(session, scan);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), base::StatusCode::kFailedPrecondition);
+  EXPECT_NE(rejected.status().message().find("(5,6,7)"), std::string::npos)
+      << rejected.status().message();
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, 1);
+  EXPECT_EQ(stats.admitted, 0);
+  EXPECT_EQ(stats.rejected_invalid_scan, 1);
+  EXPECT_EQ(stats.rejected_unknown_session, 0);
+
+  ImageF preop = (*cases_)[0].preop;
+  preop(0, 0, 0) = std::numeric_limits<float>::infinity();
+  try {
+    static_cast<void>(server.open_session(preop, (*cases_)[0].preop_labels,
+                                          pipeline_config()));
+    ADD_FAILURE() << "open_session accepted a non-finite preop scan";
+  } catch (const base::StatusError& e) {
+    EXPECT_EQ(e.status().code(), base::StatusCode::kFailedPrecondition);
+  }
 }
 
 TEST_F(ServiceTest, AdmissionRejectsDoomedDeadlines) {

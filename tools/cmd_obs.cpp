@@ -358,15 +358,15 @@ void print_snapshot(const Json& doc, bool show_sessions) {
     const double rejected =
         stats->num("rejected_queue_full") + stats->num("rejected_deadline") +
         stats->num("rejected_unknown_session") +
-        stats->num("rejected_draining");
+        stats->num("rejected_draining") + stats->num("rejected_invalid_scan");
     if (rejected > 0) {
       std::printf(
           "  rejected: %.0f (queue_full %.0f, deadline %.0f, "
-          "unknown_session %.0f, draining %.0f)\n",
+          "unknown_session %.0f, draining %.0f, invalid_scan %.0f)\n",
           rejected, stats->num("rejected_queue_full"),
           stats->num("rejected_deadline"),
           stats->num("rejected_unknown_session"),
-          stats->num("rejected_draining"));
+          stats->num("rejected_draining"), stats->num("rejected_invalid_scan"));
     }
   }
 }
