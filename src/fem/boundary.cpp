@@ -116,11 +116,8 @@ void apply_dirichlet(LocalSystem& system, const DirichletSet& bc,
 
 void apply_dirichlet(LocalBsrSystem& system, const DirichletSet& bc,
                      par::Communicator& comm) {
-  apply_dirichlet(system.A, system.b, bc, comm);
-}
-
-void apply_dirichlet(solver::DistBsrMatrix& A, solver::DistVector& b,
-                     const DirichletSet& bc, par::Communicator& comm) {
+  auto& A = system.A;
+  auto& b = system.b;
   const solver::GlobalRow rb = A.range().first;
   const auto& row_ptr = A.block_row_ptr();
   const auto& bcols = A.block_cols();

@@ -60,10 +60,4 @@ void apply_dirichlet(LocalSystem& system, const DirichletSet& bc,
 void apply_dirichlet(LocalBsrSystem& system, const DirichletSet& bc,
                      par::Communicator& comm);
 
-/// Loose matrix/vector variant of the block-CSR overload (same substitution,
-/// byte for byte) for callers that hold the pieces separately — the
-/// matrix-free operator's node-pair storage wraps a DistBsrMatrix it owns.
-void apply_dirichlet(solver::DistBsrMatrix& A, solver::DistVector& b,
-                     const DirichletSet& bc, par::Communicator& comm);
-
 }  // namespace neuro::fem

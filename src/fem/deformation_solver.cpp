@@ -6,7 +6,6 @@
 #include "base/check.h"
 #include "obs/trace.h"
 #include "par/communicator.h"
-#include "solver/additive_schwarz.h"
 
 namespace neuro::fem {
 
@@ -36,11 +35,6 @@ DeformationResult solve_deformation(
   NEURO_REQUIRE(options.nranks >= 1, "solve_deformation: nranks must be >= 1");
   NEURO_REQUIRE(!prescribed.empty(),
                 "solve_deformation: no prescribed displacements — system singular");
-  NEURO_REQUIRE(!options.mixed_precision ||
-                    options.preconditioner ==
-                        solver::PreconditionerKind::kAdditiveSchwarzIlu0,
-                "solve_deformation: mixed_precision requires the additive-"
-                "Schwarz ILU(0) preconditioner");
 
   DeformationResult result;
   obs::Span init_span = obs::timed_span("fem.setup");
@@ -80,27 +74,19 @@ DeformationResult solve_deformation(
     // --- Assemble ---
     comm.barrier();
     obs::Span phase = obs::timed_span("fem.assemble");
-    // The backends carry the same pipeline; exactly one is engaged. The BSR
-    // system assembles natively (no scalar detour) with bit-identical values;
-    // the matrix-free backend exposes the same operator without a global
-    // matrix in the hot path.
+    // Both backends carry the same pipeline; exactly one is engaged. The BSR
+    // system assembles natively (no scalar detour) with bit-identical values.
     const bool use_bsr = options.backend == MatrixBackend::kBsr;
-    const bool use_mf = options.backend == MatrixBackend::kMatrixFree;
     std::optional<LocalSystem> csr;
     std::optional<LocalBsrSystem> bsr;
-    std::optional<LocalMatrixFreeSystem> mf;
-    if (use_mf) {
-      mf.emplace(assemble_elasticity_matrix_free(
-          mesh, topo, materials, partition, options.body_force, comm,
-          options.matrix_free_storage, options.simd_dispatch));
-    } else if (use_bsr) {
+    if (use_bsr) {
       bsr.emplace(assemble_elasticity_bsr(mesh, topo, materials, partition,
                                           options.body_force, comm));
     } else {
       csr.emplace(assemble_elasticity(mesh, topo, materials, partition,
                                       options.body_force, comm));
     }
-    solver::DistVector& rhs = use_mf ? mf->b : use_bsr ? bsr->b : csr->b;
+    solver::DistVector& rhs = use_bsr ? bsr->b : csr->b;
     // Concentrated nodal forces (paper Eq. 1's third load type).
     const base::IdRange<mesh::NodeId> owned = partition.ranges[comm.rank_id()];
     for (const auto& [node, f] : options.nodal_loads) {
@@ -116,9 +102,7 @@ DeformationResult solve_deformation(
 
     // --- Boundary conditions ---
     phase = obs::timed_span("fem.bc");
-    if (use_mf) {
-      mf->A.apply_dirichlet(bc, rhs, comm);
-    } else if (use_bsr) {
+    if (use_bsr) {
       apply_dirichlet(*bsr, bc, comm);
     } else {
       apply_dirichlet(*csr, bc, comm);
@@ -131,9 +115,7 @@ DeformationResult solve_deformation(
     phase = obs::timed_span("fem.solve");
     // Shrink to the true unknown set (paper's BC path), then build the ghost
     // exchange plan.
-    if (use_mf) {
-      mf->A.finalize(comm);
-    } else if (use_bsr) {
+    if (use_bsr) {
       bsr->A.drop_zero_blocks();
       bsr->A.setup_ghosts(comm);
     } else {
@@ -141,66 +123,27 @@ DeformationResult solve_deformation(
       csr->A.setup_ghosts(comm);
     }
     const solver::LinearOperator& A =
-        use_mf  ? static_cast<const solver::LinearOperator&>(mf->A)
-        : use_bsr ? static_cast<const solver::LinearOperator&>(bsr->A)
-                  : static_cast<const solver::LinearOperator&>(csr->A);
-    const solver::SchwarzPrecision precision =
-        options.mixed_precision ? solver::SchwarzPrecision::kMixedFloat
-                                : solver::SchwarzPrecision::kDouble;
-    std::unique_ptr<solver::Preconditioner> precond;
-    if (use_mf && options.preconditioner ==
-                      solver::PreconditionerKind::kAdditiveSchwarzIlu0) {
-      // Schwarz replicates the CSR structure it is handed, so a temporary
-      // owned-rows export of the matrix-free operator is enough.
-      precond = std::make_unique<solver::AdditiveSchwarz>(
-          mf->A.to_csr(), comm, options.schwarz_overlap, precision);
-    } else {
-      precond = solver::make_preconditioner(options.preconditioner, A, comm,
-                                            options.schwarz_overlap, precision);
-    }
+        use_bsr ? static_cast<const solver::LinearOperator&>(bsr->A)
+                : static_cast<const solver::LinearOperator&>(csr->A);
+    const auto precond = solver::make_preconditioner(options.preconditioner, A,
+                                                     comm, options.schwarz_overlap);
     solver::DistVector x(rhs.global_size(), rhs.range(), 0.0);
     solver::SolveStats local_stats;
-    if (options.mixed_precision) {
-      // Float factors steer the corrections; the outer loop judges the true
-      // double residual, so the tolerance reached matches the double path.
-      solver::KrylovVariant variant = solver::KrylovVariant::kGmres;
-      switch (options.krylov) {
-        case KrylovKind::kGmres:
-          variant = solver::KrylovVariant::kGmres;
-          break;
-        case KrylovKind::kCg:
-          variant = solver::KrylovVariant::kCg;
-          break;
-        case KrylovKind::kBicgstab:
-          variant = solver::KrylovVariant::kBicgstab;
-          break;
-      }
-      local_stats =
-          solver::iterative_refinement(A, rhs, x, *precond, variant,
-                                       options.solver, options.refinement, comm);
-    } else {
-      switch (options.krylov) {
-        case KrylovKind::kGmres:
-          local_stats = solver::gmres(A, rhs, x, *precond, options.solver, comm);
-          break;
-        case KrylovKind::kCg:
-          local_stats = solver::cg(A, rhs, x, *precond, options.solver, comm);
-          break;
-        case KrylovKind::kBicgstab:
-          local_stats = solver::bicgstab(A, rhs, x, *precond, options.solver, comm);
-          break;
-      }
+    switch (options.krylov) {
+      case KrylovKind::kGmres:
+        local_stats = solver::gmres(A, rhs, x, *precond, options.solver, comm);
+        break;
+      case KrylovKind::kCg:
+        local_stats = solver::cg(A, rhs, x, *precond, options.solver, comm);
+        break;
+      case KrylovKind::kBicgstab:
+        local_stats = solver::bicgstab(A, rhs, x, *precond, options.solver, comm);
+        break;
     }
     comm.barrier();
     if (phase.active()) {
       phase.attr("iterations", local_stats.iterations);
       phase.attr("residual", local_stats.final_residual);
-      if (use_mf) {
-        phase.attr("mf_storage", matrix_free_storage_name(mf->A.storage()));
-        phase.attr("simd_target",
-                   solver::simd::dispatch_target_name(mf->A.dispatch()));
-      }
-      if (options.mixed_precision) phase.attr("mixed_precision", 1);
     }
     solve_s[r] = phase.close();
     solve_work[r] = comm.work().take();

@@ -13,22 +13,19 @@
 #include "base/vec3.h"
 #include "fem/boundary.h"
 #include "fem/material.h"
-#include "fem/matrix_free.h"
 #include "mesh/partition.h"
 #include "mesh/tet_mesh.h"
 #include "par/work_counter.h"
 #include "solver/krylov.h"
-#include "solver/refinement.h"
-#include "solver/simd/dispatch.h"
 
 namespace neuro::fem {
 
 enum class KrylovKind { kGmres, kCg, kBicgstab };
-/// Which operator backend carries the assembled system through the solve.
+/// Which assembled operator carries the system through the solve. Both give
+/// the same field to solver tolerance.
 enum class MatrixBackend {
-  kCsrReference,  ///< scalar CSR, the bitwise-stable reference path
-  kBsr,           ///< 3x3 block CSR with overlapped halo exchange (fast path)
-  kMatrixFree,    ///< no assembled global matrix in the hot path (matrix_free.h)
+  kCsrReference,  ///< scalar CSR: the paper's configuration, bitwise reference
+  kBsr,           ///< 3x3 block CSR with overlapped halo exchange
 };
 enum class PartitionKind {
   kNodeBalanced,          ///< the paper's: equal node counts
@@ -44,17 +41,6 @@ struct DeformationSolveOptions {
   int schwarz_overlap = 1;  ///< used by kAdditiveSchwarzIlu0 only
   KrylovKind krylov = KrylovKind::kGmres;  ///< the paper's solver
   MatrixBackend backend = MatrixBackend::kCsrReference;
-  /// kMatrixFree only: storage policy of the operator apply.
-  MatrixFreeStorage matrix_free_storage = MatrixFreeStorage::kNodePairBlocks;
-  /// kMatrixFree only: instruction-set target of the apply kernels. kAuto
-  /// probes the CPU; kScalar makes kNodePairBlocks bit-identical to kBsr.
-  solver::simd::DispatchTarget simd_dispatch = solver::simd::DispatchTarget::kAuto;
-  /// Store the additive-Schwarz ILU(0) factors in float (solved with double
-  /// accumulation) and wrap the Krylov solve in a double-precision iterative-
-  /// refinement outer loop, converging to the same tolerance as the all-double
-  /// path. Requires preconditioner == kAdditiveSchwarzIlu0.
-  bool mixed_precision = false;
-  solver::RefinementConfig refinement;  ///< mixed_precision outer loop knobs
   solver::SolverConfig solver;
   Vec3 body_force{};  ///< optional gravity-style load
 

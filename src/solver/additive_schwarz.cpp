@@ -7,8 +7,8 @@
 namespace neuro::solver {
 
 AdditiveSchwarz::AdditiveSchwarz(const DistCsrMatrix& A, par::Communicator& comm,
-                                 int overlap, SchwarzPrecision precision)
-    : overlap_(overlap), precision_(precision), range_(A.range()) {
+                                 int overlap)
+    : overlap_(overlap), range_(A.range()) {
   NEURO_REQUIRE(overlap >= 0, "AdditiveSchwarz: overlap must be non-negative");
   const int n_global = A.global_size();
 
@@ -105,13 +105,7 @@ AdditiveSchwarz::AdditiveSchwarz(const DistCsrMatrix& A, par::Communicator& comm
     }
     sub_row_ptr.push_back(static_cast<int>(sub_cols.size()));
   }
-  if (precision_ == SchwarzPrecision::kMixedFloat) {
-    mixed_factor_.factor(std::move(sub_row_ptr), std::move(sub_cols),
-                         std::move(sub_values));
-  } else {
-    factor_.factor(std::move(sub_row_ptr), std::move(sub_cols),
-                   std::move(sub_values));
-  }
+  factor_.factor(std::move(sub_row_ptr), std::move(sub_cols), std::move(sub_values));
 
   // Setup cost accounting: the structure exchange moves the whole matrix.
   comm.work().add_mem_bytes(12.0 * static_cast<double>(all_values.size()));
@@ -178,23 +172,15 @@ void AdditiveSchwarz::apply(const DistVector& r, DistVector& z,
   }
 
   std::vector<double> z_ext;
-  const bool mixed = precision_ == SchwarzPrecision::kMixedFloat;
-  if (mixed) {
-    mixed_factor_.solve(r_ext, z_ext);
-  } else {
-    factor_.solve(r_ext, z_ext);
-  }
+  factor_.solve(r_ext, z_ext);
 
   // Restricted write-back: owned entries only (no overlap double counting).
   for (std::size_t i = 0; i < owned_ext_positions_.size(); ++i) {
     z.local()[i] = z_ext[static_cast<std::size_t>(owned_ext_positions_[i])];
   }
 
-  // Mixed factors stream 4-byte values instead of 8 (the col index rides
-  // along either way), cutting the per-sweep value traffic roughly in half.
-  const double nnz = static_cast<double>(mixed ? mixed_factor_.nnz() : factor_.nnz());
-  comm.work().add_flops(2.0 * nnz);
-  comm.work().add_mem_bytes((mixed ? 8.0 : 12.0) * nnz +
+  comm.work().add_flops(2.0 * static_cast<double>(factor_.nnz()));
+  comm.work().add_mem_bytes(12.0 * static_cast<double>(factor_.nnz()) +
                             16.0 * static_cast<double>(next));
 }
 

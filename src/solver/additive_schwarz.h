@@ -21,33 +21,22 @@ namespace neuro::solver {
 class AdditiveSchwarz final : public Preconditioner {
  public:
   /// Collective: every rank of `comm` must construct simultaneously (matrix
-  /// rows are exchanged to build the overlapped blocks). `precision` selects
-  /// the ILU(0) factor storage: kMixedFloat stores float factors solved with
-  /// double accumulation (see MixedIlu0Factor).
-  AdditiveSchwarz(const DistCsrMatrix& A, par::Communicator& comm, int overlap = 1,
-                  SchwarzPrecision precision = SchwarzPrecision::kDouble);
+  /// rows are exchanged to build the overlapped blocks).
+  AdditiveSchwarz(const DistCsrMatrix& A, par::Communicator& comm, int overlap = 1);
 
   void apply(const DistVector& r, DistVector& z, par::Communicator& comm) const override;
-  [[nodiscard]] std::string name() const override {
-    return precision_ == SchwarzPrecision::kMixedFloat
-               ? "additive-schwarz/ilu0-mixed"
-               : "additive-schwarz/ilu0";
-  }
+  [[nodiscard]] std::string name() const override { return "additive-schwarz/ilu0"; }
 
   [[nodiscard]] int overlap() const { return overlap_; }
-  [[nodiscard]] SchwarzPrecision precision() const { return precision_; }
   /// Extended block size (owned + halo rows) on this rank.
   [[nodiscard]] int extended_rows() const { return static_cast<int>(ext_to_global_.size()); }
 
  private:
   int overlap_;
-  SchwarzPrecision precision_;
   RowRange range_;
 
   std::vector<GlobalRow> ext_to_global_;  ///< sorted extended index set
-  // Exactly one of the two factors is populated, per `precision_`.
   Ilu0Factor factor_;
-  MixedIlu0Factor mixed_factor_;
 
   // Halo exchange plan for apply(): which of my owned entries each neighbour
   // needs, and where incoming values land in the extended vector.

@@ -16,44 +16,6 @@ int find_col(const std::vector<int>& cols, int b, int e, int c) {
   return -1;
 }
 
-// Shared IKJ ILU(0) elimination over a sorted-column CSR pattern; fills
-// `diag_pos` and factors `values` in place. Both factor classes call this, so
-// the mixed factor is the double factor demoted entry-for-entry.
-void factor_ilu0_inplace(const std::vector<int>& row_ptr,
-                         const std::vector<int>& cols,
-                         std::vector<double>& values,
-                         std::vector<int>& diag_pos) {
-  const int n = static_cast<int>(row_ptr.size()) - 1;
-  diag_pos.assign(static_cast<std::size_t>(n), -1);
-
-  for (int i = 0; i < n; ++i) {
-    const int b = row_ptr[static_cast<std::size_t>(i)];
-    const int e = row_ptr[static_cast<std::size_t>(i) + 1];
-    for (int p = b; p < e; ++p) {
-      const int k = cols[static_cast<std::size_t>(p)];
-      if (k >= i) break;
-      const int dk = diag_pos[static_cast<std::size_t>(k)];
-      NEURO_CHECK_MSG(dk >= 0, "ILU(0): missing pivot for row " << k);
-      const double pivot = values[static_cast<std::size_t>(dk)];
-      NEURO_CHECK_MSG(std::abs(pivot) > 1e-300, "ILU(0): zero pivot at row " << k);
-      const double lik = values[static_cast<std::size_t>(p)] / pivot;
-      values[static_cast<std::size_t>(p)] = lik;
-      const int ke = row_ptr[static_cast<std::size_t>(k) + 1];
-      for (int q = dk + 1; q < ke; ++q) {
-        const int j = cols[static_cast<std::size_t>(q)];
-        const int pos = find_col(cols, p + 1, e, j);
-        if (pos >= 0) {
-          values[static_cast<std::size_t>(pos)] -=
-              lik * values[static_cast<std::size_t>(q)];
-        }
-      }
-    }
-    const int dp = find_col(cols, b, e, i);
-    NEURO_REQUIRE(dp >= 0, "ILU(0): structurally missing diagonal at row " << i);
-    diag_pos[static_cast<std::size_t>(i)] = dp;
-  }
-}
-
 }  // namespace
 
 void Ilu0Factor::factor(std::vector<int> row_ptr, std::vector<int> cols,
@@ -61,7 +23,35 @@ void Ilu0Factor::factor(std::vector<int> row_ptr, std::vector<int> cols,
   row_ptr_ = std::move(row_ptr);
   cols_ = std::move(cols);
   values_ = std::move(values);
-  factor_ilu0_inplace(row_ptr_, cols_, values_, diag_pos_);
+  const int n = rows();
+  diag_pos_.assign(static_cast<std::size_t>(n), -1);
+
+  for (int i = 0; i < n; ++i) {
+    const int b = row_ptr_[static_cast<std::size_t>(i)];
+    const int e = row_ptr_[static_cast<std::size_t>(i) + 1];
+    for (int p = b; p < e; ++p) {
+      const int k = cols_[static_cast<std::size_t>(p)];
+      if (k >= i) break;
+      const int dk = diag_pos_[static_cast<std::size_t>(k)];
+      NEURO_CHECK_MSG(dk >= 0, "ILU(0): missing pivot for row " << k);
+      const double pivot = values_[static_cast<std::size_t>(dk)];
+      NEURO_CHECK_MSG(std::abs(pivot) > 1e-300, "ILU(0): zero pivot at row " << k);
+      const double lik = values_[static_cast<std::size_t>(p)] / pivot;
+      values_[static_cast<std::size_t>(p)] = lik;
+      const int ke = row_ptr_[static_cast<std::size_t>(k) + 1];
+      for (int q = dk + 1; q < ke; ++q) {
+        const int j = cols_[static_cast<std::size_t>(q)];
+        const int pos = find_col(cols_, p + 1, e, j);
+        if (pos >= 0) {
+          values_[static_cast<std::size_t>(pos)] -=
+              lik * values_[static_cast<std::size_t>(q)];
+        }
+      }
+    }
+    const int dp = find_col(cols_, b, e, i);
+    NEURO_REQUIRE(dp >= 0, "ILU(0): structurally missing diagonal at row " << i);
+    diag_pos_[static_cast<std::size_t>(i)] = dp;
+  }
 }
 
 // Sequential triangular sweeps: substitution order fixes the rounding, so the
@@ -89,48 +79,6 @@ void Ilu0Factor::solve(const std::vector<double>& in, std::vector<double>& out) 
              out[static_cast<std::size_t>(cols_[static_cast<std::size_t>(p)])];
     }
     out[static_cast<std::size_t>(i)] = acc / values_[static_cast<std::size_t>(dp)];
-  }
-}
-
-void MixedIlu0Factor::factor(std::vector<int> row_ptr, std::vector<int> cols,
-                             std::vector<double> values) {
-  row_ptr_ = std::move(row_ptr);
-  cols_ = std::move(cols);
-  factor_ilu0_inplace(row_ptr_, cols_, values, diag_pos_);
-  values_.resize(values.size());
-  for (std::size_t p = 0; p < values.size(); ++p) {
-    values_[p] = static_cast<float>(values[p]);
-  }
-}
-
-// Same substitution order as Ilu0Factor::solve; float factor entries promote
-// to double inside each fused multiply, so every accumulation is double.
-NEURO_BITEXACT
-void MixedIlu0Factor::solve(const std::vector<double>& in,
-                            std::vector<double>& out) const {
-  const int n = rows();
-  NEURO_REQUIRE(static_cast<int>(in.size()) == n,
-                "mixed ILU(0) solve: size " << in.size() << " != rows " << n);
-  out.resize(static_cast<std::size_t>(n));
-
-  for (int i = 0; i < n; ++i) {
-    double acc = in[static_cast<std::size_t>(i)];
-    for (int p = row_ptr_[static_cast<std::size_t>(i)];
-         p < diag_pos_[static_cast<std::size_t>(i)]; ++p) {
-      acc -= static_cast<double>(values_[static_cast<std::size_t>(p)]) *
-             out[static_cast<std::size_t>(cols_[static_cast<std::size_t>(p)])];
-    }
-    out[static_cast<std::size_t>(i)] = acc;
-  }
-  for (int i = n - 1; i >= 0; --i) {
-    double acc = out[static_cast<std::size_t>(i)];
-    const int dp = diag_pos_[static_cast<std::size_t>(i)];
-    for (int p = dp + 1; p < row_ptr_[static_cast<std::size_t>(i) + 1]; ++p) {
-      acc -= static_cast<double>(values_[static_cast<std::size_t>(p)]) *
-             out[static_cast<std::size_t>(cols_[static_cast<std::size_t>(p)])];
-    }
-    out[static_cast<std::size_t>(i)] =
-        acc / static_cast<double>(values_[static_cast<std::size_t>(dp)]);
   }
 }
 

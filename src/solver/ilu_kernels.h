@@ -31,32 +31,4 @@ class Ilu0Factor {
   std::vector<int> diag_pos_;
 };
 
-/// Mixed-precision sibling of Ilu0Factor: the elimination runs in full double
-/// precision, then the factors are demoted to float storage; the triangular
-/// solves stream the float factors while accumulating every substitution in
-/// double. That halves the factor's value traffic per application — the
-/// dominant cost of an ILU sweep — at a perturbation of one float ulp per
-/// factor entry, which perturbs only the *preconditioner* (never the Krylov
-/// residual), so outer convergence is tolerance-equivalent to the double
-/// factor (docs/perf.md, "Mixed-precision accuracy contract").
-class MixedIlu0Factor {
- public:
-  /// Same contract as Ilu0Factor::factor; the double factors are demoted to
-  /// float after elimination completes.
-  void factor(std::vector<int> row_ptr, std::vector<int> cols,
-              std::vector<double> values);
-
-  /// out = (LU)⁻¹ in, float factor loads, double accumulation.
-  void solve(const std::vector<double>& in, std::vector<double>& out) const;
-
-  [[nodiscard]] int rows() const { return static_cast<int>(row_ptr_.size()) - 1; }
-  [[nodiscard]] std::size_t nnz() const { return values_.size(); }
-
- private:
-  std::vector<int> row_ptr_;
-  std::vector<int> cols_;
-  std::vector<float> values_;
-  std::vector<int> diag_pos_;
-};
-
 }  // namespace neuro::solver

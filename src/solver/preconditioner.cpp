@@ -323,19 +323,16 @@ void SsorPreconditioner::apply(const DistVector& r, DistVector& z,
 std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind,
                                                     const LinearOperator& A,
                                                     par::Communicator& comm,
-                                                    int schwarz_overlap,
-                                                    SchwarzPrecision schwarz_precision) {
+                                                    int schwarz_overlap) {
   if (kind == PreconditionerKind::kAdditiveSchwarzIlu0) {
     // Schwarz replicates the global scalar CSR structure at construction.
     if (const auto* csr = dynamic_cast<const DistCsrMatrix*>(&A)) {
-      return std::make_unique<AdditiveSchwarz>(*csr, comm, schwarz_overlap,
-                                               schwarz_precision);
+      return std::make_unique<AdditiveSchwarz>(*csr, comm, schwarz_overlap);
     }
     const auto* bsr = dynamic_cast<const DistBsrMatrix*>(&A);
     NEURO_REQUIRE(bsr != nullptr,
                   "additive Schwarz requires a CSR or BSR operand");
-    return std::make_unique<AdditiveSchwarz>(bsr->to_csr(), comm, schwarz_overlap,
-                                             schwarz_precision);
+    return std::make_unique<AdditiveSchwarz>(bsr->to_csr(), comm, schwarz_overlap);
   }
   return make_preconditioner(kind, A);
 }

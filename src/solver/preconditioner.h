@@ -8,7 +8,6 @@
 // the solver ablation bench.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -123,25 +122,14 @@ enum class PreconditionerKind {
 std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind,
                                                     const LinearOperator& A);
 
-/// Storage precision of the additive-Schwarz ILU(0) factors. The elimination
-/// always runs in double; kMixedFloat demotes the stored factors to float and
-/// accumulates the triangular solves in double, halving the factor's value
-/// traffic while perturbing only the preconditioner (docs/perf.md,
-/// "Mixed-precision accuracy contract").
-enum class SchwarzPrecision : std::uint8_t {
-  kDouble,
-  kMixedFloat,
-};
-
 /// Communicator-aware factory (collective for kAdditiveSchwarzIlu0, which
 /// exchanges matrix rows at construction; other kinds ignore `comm`).
 /// Schwarz needs the raw scalar CSR structure: a DistCsrMatrix operand is
 /// used directly, a DistBsrMatrix operand is expanded via to_csr(), anything
-/// else is rejected. `schwarz_precision` selects the ILU(0) factor storage
-/// and is ignored by every other kind.
-std::unique_ptr<Preconditioner> make_preconditioner(
-    PreconditionerKind kind, const LinearOperator& A, par::Communicator& comm,
-    int schwarz_overlap = 1,
-    SchwarzPrecision schwarz_precision = SchwarzPrecision::kDouble);
+/// else is rejected.
+std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind,
+                                                    const LinearOperator& A,
+                                                    par::Communicator& comm,
+                                                    int schwarz_overlap = 1);
 
 }  // namespace neuro::solver

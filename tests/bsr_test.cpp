@@ -360,20 +360,23 @@ TEST(BsrSolveTest, DeformationBackendMatchesReference) {
     const Vec3& p = shared_mesh().nodes[n];
     bcs.emplace_back(n, Vec3{0.01 * p.z, 0.0, -0.02 * p.x});
   }
-  DeformationSolveOptions opt;
-  opt.nranks = 2;
-  opt.solver.rtol = 1e-10;
-  opt.backend = MatrixBackend::kCsrReference;
-  const DeformationResult ref =
-      solve_deformation(shared_mesh(), MaterialMap::homogeneous_brain(), bcs, opt);
-  opt.backend = MatrixBackend::kBsr;
-  const DeformationResult fast =
-      solve_deformation(shared_mesh(), MaterialMap::homogeneous_brain(), bcs, opt);
-  ASSERT_TRUE(ref.stats.converged);
-  ASSERT_TRUE(fast.stats.converged);
-  for (std::size_t i = 0; i < ref.node_displacements.size(); ++i) {
-    EXPECT_NEAR(norm(fast.node_displacements[i] - ref.node_displacements[i]),
-                0.0, 1e-8);
+  for (const int P : {1, 2, 4}) {
+    DeformationSolveOptions opt;
+    opt.nranks = P;
+    opt.solver.rtol = 1e-10;
+    opt.backend = MatrixBackend::kCsrReference;
+    const DeformationResult ref =
+        solve_deformation(shared_mesh(), MaterialMap::homogeneous_brain(), bcs, opt);
+    opt.backend = MatrixBackend::kBsr;
+    const DeformationResult fast =
+        solve_deformation(shared_mesh(), MaterialMap::homogeneous_brain(), bcs, opt);
+    ASSERT_TRUE(ref.stats.converged) << "P=" << P;
+    ASSERT_TRUE(fast.stats.converged) << "P=" << P;
+    for (std::size_t i = 0; i < ref.node_displacements.size(); ++i) {
+      EXPECT_NEAR(norm(fast.node_displacements[i] - ref.node_displacements[i]),
+                  0.0, 1e-8)
+          << "P=" << P << " node " << i;
+    }
   }
 }
 
