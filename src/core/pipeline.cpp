@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <type_traits>
 
@@ -66,6 +67,129 @@ ImageL classify_on_ranks(const seg::FeatureStack& stack,
   });
 }
 
+/// The smoothed signed distance to the surface-matching tissues of a label
+/// map: the active surface's attraction field.
+ImageF surface_sdf(const ImageL& labels, const PipelineConfig& config) {
+  const auto& match_labels = config.surface_match_labels.empty()
+                                 ? config.brain_labels
+                                 : config.surface_match_labels;
+  ImageL mask = seg::mask_of_labels(labels, match_labels);
+  // Stray classified voxels create spurious SDF attractors; the brain is one
+  // connected object, so keep only the largest component.
+  if (config.clean_masks) mask = keep_largest_component(mask);
+  return gaussian_smooth(signed_distance_to_label(mask, 1, config.sdf_saturation_mm),
+                         0.8);  // soften voxel staircase
+}
+
+template <typename T>
+bool same_bits(const T& a, const T& b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+/// True when `model` is the one a fresh build would produce for a scan on
+/// `intraop`'s grid, aligned by `rigid`, classified with `prototypes` (null or
+/// empty: prototypes still to be selected, which never matches).
+bool model_matches(const PreopModel& model, const RigidTransform& rigid,
+                   const ImageF& intraop, const std::vector<seg::Prototype>* prototypes) {
+  if (prototypes == nullptr || prototypes->empty() ||
+      prototypes->size() != model.prototypes.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < prototypes->size(); ++i) {
+    const seg::Prototype& a = model.prototypes[i];
+    const seg::Prototype& b = (*prototypes)[i];
+    if (!(a.voxel == b.voxel) || a.label != b.label) return false;
+  }
+  return same_bits(model.rigid.params(), rigid.params()) &&
+         same_bits(model.rigid.center, rigid.center) &&
+         same_bits(model.grid_dims, intraop.dims()) &&
+         same_bits(model.grid_spacing, intraop.spacing()) &&
+         same_bits(model.grid_origin, intraop.origin());
+}
+
+/// Builds the preoperative case model of one scan: everything the pipeline
+/// derives from the preop data, given the rigid alignment, the scan's grid
+/// and the prototype locations (`reuse`, or a selection on `intraop` when
+/// null or empty, exactly as seg::model_prototypes selects).
+std::shared_ptr<PreopModel> build_preop_model(
+    const ImageF& preop, const ImageL& preop_labels, const ImageF& intraop,
+    const RigidTransform& rigid, const PipelineConfig& config,
+    const std::vector<seg::Prototype>* reuse) {
+  auto model = std::make_shared<PreopModel>();
+  model->rigid = rigid;
+  model->grid_dims = intraop.dims();
+  model->grid_spacing = intraop.spacing();
+  model->grid_origin = intraop.origin();
+  {
+    obs::Span sub = obs::global_span("pipeline.rigid.resample");
+    model->aligned_preop = resample_rigid(preop, intraop, rigid);
+    const ImageL grid(intraop.dims(), 0, intraop.spacing(), intraop.origin());
+    model->aligned_preop_labels = resample_rigid_labels(preop_labels, grid, rigid);
+  }
+  model->localization =
+      seg::build_localization_channels(model->aligned_preop_labels, config.seg);
+  model->prototypes =
+      reuse != nullptr && !reuse->empty()
+          ? *reuse
+          : seg::model_prototypes(
+                seg::build_feature_stack(intraop, model->localization, config.seg),
+                model->aligned_preop_labels, config.seg);
+  // Classify the aligned preop scan with the same model (recorded prototype
+  // locations, features refreshed — the paper's automatic model update), so
+  // the preop and intraop surface-target masks share one boundary bias.
+  {
+    obs::Span sub = obs::global_span("pipeline.seg.preop");
+    const seg::FeatureStack stack =
+        seg::build_feature_stack(model->aligned_preop, model->localization, config.seg);
+    model->preop_classified_labels = classify_on_ranks(
+        stack,
+        seg::model_prototypes(stack, model->aligned_preop_labels, config.seg,
+                              &model->prototypes),
+        config.seg, config.fem.nranks);
+  }
+  mesh::MesherConfig mesher = config.mesher;
+  if (mesher.keep_labels.empty()) mesher.keep_labels = config.brain_labels;
+  {
+    obs::Span sub = obs::global_span("pipeline.surface.mesh");
+    model->brain_mesh = mesh::mesh_labeled_volume(model->aligned_preop_labels, mesher);
+  }
+  NEURO_CHECK_MSG(model->brain_mesh.num_tets() > 0,
+                  "pipeline: empty brain mesh — check labels/stride");
+  model->preop_surface =
+      mesh::extract_boundary_surface(model->brain_mesh, config.brain_labels);
+
+  // Two-pass correspondence: the extracted mesh surface is a lattice
+  // approximation of the smooth brain boundary, so matching it directly to
+  // the intraop boundary would mix discretization error into the measured
+  // deformation. Pass 1, here, relaxes the surface onto the *preoperative*
+  // boundary; pass 2, per scan, continues onto the *intraoperative* one. The
+  // difference of the two relaxed configurations is the pure anatomical
+  // displacement, prescribed at the originating mesh nodes.
+  ImageF sdf_pre;
+  {
+    obs::Span sub = obs::global_span("pipeline.surface.preop_sdf");
+    sdf_pre = surface_sdf(model->preop_classified_labels, config);
+  }
+  {
+    obs::Span sub = obs::global_span("pipeline.surface.snap");
+    model->snapped_surface = surface::deform_to_distance_field(
+                                 model->preop_surface, sdf_pre, config.active_surface)
+                                 .surface;
+  }
+  return model;
+}
+
+/// Fills the result's copies of the model's products: copied from a model a
+/// later scan may reuse, moved out of one no later scan will see.
+template <class Model>
+void take_model_products(Model&& model, PipelineResult& result) {
+  result.aligned_preop = std::forward<Model>(model).aligned_preop;
+  result.aligned_preop_labels = std::forward<Model>(model).aligned_preop_labels;
+  result.preop_classified_labels = std::forward<Model>(model).preop_classified_labels;
+  result.brain_mesh = std::forward<Model>(model).brain_mesh;
+  result.preop_surface = std::forward<Model>(model).preop_surface;
+}
+
 }  // namespace
 
 double PipelineResult::stage_seconds(const std::string& name) const {
@@ -94,7 +218,8 @@ PipelineResult run_intraop_pipeline(const ImageF& preop, const ImageL& preop_lab
                                     const ImageF& intraop,
                                     const PipelineConfig& config,
                                     const std::vector<seg::Prototype>* reuse_prototypes,
-                                    const std::vector<Vec3>* last_good) {
+                                    const std::vector<Vec3>* last_good,
+                                    std::shared_ptr<const PreopModel>* preop_model) {
   NEURO_REQUIRE(preop.dims() == preop_labels.dims(),
                 "pipeline: preop image/labels dims mismatch");
   NEURO_REQUIRE(!config.brain_labels.empty(), "pipeline: brain_labels unset — "
@@ -128,111 +253,94 @@ PipelineResult run_intraop_pipeline(const ImageF& preop, const ImageL& preop_lab
   } else {
     result.rigid = RigidTransform{};
   }
-  {
-    obs::Span sub = obs::global_span("pipeline.rigid.resample");
-    result.aligned_preop = resample_rigid(preop, intraop, result.rigid);
-    ImageL grid(intraop.dims(), 0, intraop.spacing(), intraop.origin());
-    result.aligned_preop_labels =
-        resample_rigid_labels(preop_labels, grid, result.rigid);
-  }
   result.timeline.push_back({"rigid_registration", stage.close()});
+
+  // --- Preoperative case model: reused when the handed one matches. ---
+  stage = obs::timed_span("pipeline.preop_model");
+  std::shared_ptr<const PreopModel> model;
+  // A model built with no slot to keep it is this scan's alone: its
+  // localization channels are freed right after classification and its
+  // products move into the result, so a scan that keeps no model holds no
+  // more memory than one that never had a model.
+  std::shared_ptr<PreopModel> own;
+  if (preop_model != nullptr && *preop_model != nullptr &&
+      model_matches(**preop_model, result.rigid, intraop, reuse_prototypes)) {
+    model = *preop_model;
+    result.preop_model_reused = true;
+  } else {
+    // Release the stale model before its replacement is built.
+    if (preop_model != nullptr) preop_model->reset();
+    std::shared_ptr<PreopModel> built = build_preop_model(
+        preop, preop_labels, intraop, result.rigid, config, reuse_prototypes);
+    if (preop_model != nullptr) {
+      *preop_model = built;
+    } else {
+      own = built;
+    }
+    model = std::move(built);
+  }
+  stage.attr("reused", result.preop_model_reused ? 1 : 0);
+  obs::metrics()
+      .counter(result.preop_model_reused ? "pipeline.preop_model.reused"
+                                         : "pipeline.preop_model.built")
+      .add();
+  result.timeline.push_back({"preop_model", stage.close()});
 
   // --- 2. Tissue classification of the intraoperative scan. ---
   stage = obs::timed_span("pipeline.tissue_classification");
   {
-    // Both classifications read the localization channels of the same aligned
-    // labels: built once, shared by both stacks and all ranks, released
-    // before the surface stage.
-    seg::FeatureStack localization;
-    {
-      obs::Span sub = obs::global_span("pipeline.seg.intraop");
-      localization =
-          seg::build_localization_channels(result.aligned_preop_labels, config.seg);
-      const seg::FeatureStack stack =
-          seg::build_feature_stack(intraop, localization, config.seg);
-      result.segmentation.prototypes = seg::model_prototypes(
-          stack, result.aligned_preop_labels, config.seg, reuse_prototypes);
-      result.segmentation.labels =
-          classify_on_ranks(stack, result.segmentation.prototypes, config.seg, nranks);
-      result.intraop_brain_mask =
-          seg::mask_of_labels(result.segmentation.labels, config.brain_labels);
-    }
-    // Classify the aligned preop scan with the same model (recorded prototype
-    // locations, features refreshed — the paper's automatic model update), so
-    // the two surface-target masks share one boundary bias.
-    {
-      obs::Span sub = obs::global_span("pipeline.seg.preop");
-      const seg::FeatureStack stack =
-          seg::build_feature_stack(result.aligned_preop, localization, config.seg);
-      result.preop_classified_labels = classify_on_ranks(
-          stack,
-          seg::model_prototypes(stack, result.aligned_preop_labels, config.seg,
-                                &result.segmentation.prototypes),
-          config.seg, nranks);
-    }
+    obs::Span sub = obs::global_span("pipeline.seg.intraop");
+    const seg::FeatureStack stack =
+        seg::build_feature_stack(intraop, model->localization, config.seg);
+    // The model's prototypes carry this scan's reuse locations (or were
+    // selected on this scan's stack), so refreshing them gives the features
+    // seg::segment_intraop would.
+    result.segmentation.prototypes = seg::model_prototypes(
+        stack, model->aligned_preop_labels, config.seg, &model->prototypes);
+    result.segmentation.labels =
+        classify_on_ranks(stack, result.segmentation.prototypes, config.seg, nranks);
+    result.intraop_brain_mask =
+        seg::mask_of_labels(result.segmentation.labels, config.brain_labels);
   }
+  if (own != nullptr) own->localization = seg::FeatureStack{};
   result.timeline.push_back({"tissue_classification", stage.close()});
 
   // --- 3. Surface displacement via the active surface. ---
+  // Pass 1 (the model's snapped surface) relaxed the mesh boundary onto the
+  // preoperative boundary; pass 2 continues onto the intraoperative one (see
+  // build_preop_model for why the measurement takes two passes).
   stage = obs::timed_span("pipeline.surface_displacement");
-  mesh::MesherConfig mesher = config.mesher;
-  if (mesher.keep_labels.empty()) mesher.keep_labels = config.brain_labels;
+  ImageF sdf_intra;
   {
-    obs::Span sub = obs::global_span("pipeline.surface.mesh");
-    result.brain_mesh = mesh::mesh_labeled_volume(result.aligned_preop_labels, mesher);
+    obs::Span sub = obs::global_span("pipeline.surface.sdf");
+    sdf_intra = surface_sdf(result.segmentation.labels, config);
   }
-  NEURO_CHECK_MSG(result.brain_mesh.num_tets() > 0,
-                  "pipeline: empty brain mesh — check labels/stride");
-  result.preop_surface =
-      mesh::extract_boundary_surface(result.brain_mesh, config.brain_labels);
-
-  // Two-pass correspondence: the extracted mesh surface is a lattice
-  // approximation of the smooth brain boundary, so matching it directly to
-  // the intraop boundary would mix discretization error into the measured
-  // deformation. Pass 1 relaxes the surface onto the *preoperative* boundary,
-  // pass 2 continues onto the *intraoperative* one; the difference of the two
-  // relaxed configurations is the pure anatomical displacement, prescribed at
-  // the originating mesh nodes.
-  const auto& match_labels = config.surface_match_labels.empty()
-                                 ? config.brain_labels
-                                 : config.surface_match_labels;
-  ImageL preop_brain_mask =
-      seg::mask_of_labels(result.preop_classified_labels, match_labels);
-  ImageL intraop_match_mask =
-      seg::mask_of_labels(result.segmentation.labels, match_labels);
-  if (config.clean_masks) {
-    // Stray classified voxels create spurious SDF attractors; the brain is
-    // one connected object, so keep only the largest component.
-    preop_brain_mask = keep_largest_component(preop_brain_mask);
-    intraop_match_mask = keep_largest_component(intraop_match_mask);
+  {
+    obs::Span sub = obs::global_span("pipeline.surface.active_surface");
+    result.surface_match = surface::deform_to_distance_field(
+        model->snapped_surface, sdf_intra, config.active_surface);
   }
-  obs::Span sdf_span = obs::global_span("pipeline.surface.sdf");
-  ImageF sdf_pre = signed_distance_to_label(preop_brain_mask, 1,
-                                            config.sdf_saturation_mm);
-  ImageF sdf_intra = signed_distance_to_label(intraop_match_mask, 1,
-                                              config.sdf_saturation_mm);
-  sdf_pre = gaussian_smooth(sdf_pre, 0.8);    // soften voxel staircase
-  sdf_intra = gaussian_smooth(sdf_intra, 0.8);
-  sdf_span.close();
-
-  obs::Span snap_span = obs::global_span("pipeline.surface.active_surface");
-  const auto snapped = surface::deform_to_distance_field(
-      result.preop_surface, sdf_pre, config.active_surface);
-  result.surface_match = surface::deform_to_distance_field(
-      snapped.surface, sdf_intra, config.active_surface);
-  snap_span.close();
   // Re-express displacements relative to the snapped preop configuration and
   // restore the mesh-node bookkeeping of the original extraction.
   for (const mesh::VertId v : result.surface_match.displacements.ids()) {
     result.surface_match.displacements[v] =
-        result.surface_match.surface.vertices[v] - snapped.surface.vertices[v];
+        result.surface_match.surface.vertices[v] - model->snapped_surface.vertices[v];
   }
-  result.surface_match.surface.mesh_nodes = result.preop_surface.mesh_nodes;
+  result.surface_match.surface.mesh_nodes = model->preop_surface.mesh_nodes;
   // The anatomical displacement varies over centimetres; the voxel staircase
   // of the two masks injects ±1-voxel jitter. Membrane-smooth it away.
   surface::smooth_vertex_vectors(result.surface_match.surface,
                                  result.surface_match.displacements,
                                  config.surface_smoothing_iterations);
+  // Everything later reads the result's copies. An unretained model is freed
+  // here, before the FEM and resample stages reach their peak memory.
+  if (own != nullptr) {
+    take_model_products(std::move(*own), result);
+  } else {
+    take_model_products(*model, result);
+  }
+  own.reset();
+  model.reset();
   result.timeline.push_back({"surface_displacement", stage.close()});
 
   // --- 4. Biomechanical simulation: volumetric FEM solve. ---

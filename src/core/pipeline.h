@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -83,10 +84,49 @@ struct StageTiming {
   double seconds = 0.0;
 };
 
+/// The preoperative case model: every product the pipeline derives from the
+/// preoperative scan and labels for one scan. It is a function of its key —
+/// the rigid transform's bits, the intraop grid, and the prototype locations
+/// and labels the aligned preop scan is classified with — plus the preop
+/// data and the config, which a SurgerySession never changes. In a session
+/// whose scans share a frame the key repeats from scan to scan, so the
+/// session hands the model of one scan to the next instead of rebuilding it
+/// (docs/perf.md, "Preoperative model reuse"). Immutable once built.
+struct PreopModel {
+  // Key.
+  RigidTransform rigid;
+  IVec3 grid_dims;  ///< the intraop grid the preop data was resampled onto
+  Vec3 grid_spacing;
+  Vec3 grid_origin;
+  /// The statistical model's recorded locations and labels; features are
+  /// those of the scan that selected or last refreshed them. Classification
+  /// re-reads the features at these locations, so only the locations and
+  /// labels are part of the key.
+  std::vector<seg::Prototype> prototypes;
+
+  // Products.
+  ImageF aligned_preop;
+  ImageL aligned_preop_labels;
+  /// The saturated-DT channels of aligned_preop_labels, shared by the preop
+  /// and intraop feature stacks.
+  seg::FeatureStack localization;
+  ImageL preop_classified_labels;
+  mesh::TetMesh brain_mesh;
+  mesh::TriSurface preop_surface;
+  /// preop_surface relaxed onto the preop classified boundary: the first
+  /// active-surface pass, from which each scan's second pass starts.
+  mesh::TriSurface snapped_surface;
+};
+
 struct PipelineResult {
   // Stage outputs, in pipeline order.
   RigidTransform rigid;   ///< maps intraop physical points into preop space
   double rigid_mi = 0.0;
+  /// True when the scan reused the PreopModel it was handed instead of
+  /// building one. aligned_preop, aligned_preop_labels,
+  /// preop_classified_labels, brain_mesh and preop_surface hold that model's
+  /// products either way.
+  bool preop_model_reused = false;
   ImageF aligned_preop;   ///< preop resampled into the intraop frame
   ImageL aligned_preop_labels;
   seg::IntraopSegmentation segmentation;
@@ -107,9 +147,11 @@ struct PipelineResult {
   ImageV backward_field;   ///< inverse, used for warping
   ImageF warped_preop;     ///< the "simulated deformation" image (Fig. 4c)
 
-  /// Fig. 6 rows. When the FEM stage degraded, one extra row per ladder
-  /// attempt ("fem_fallback:<rung>") follows "biomechanical_simulation"; the
-  /// fault-free timeline is unchanged.
+  /// Fig. 6 rows: rigid_registration, preop_model (near zero when reused),
+  /// tissue_classification, surface_displacement, biomechanical_simulation,
+  /// visualization_resample. When the FEM stage degraded, one extra row per
+  /// ladder attempt ("fem_fallback:<rung>") follows
+  /// "biomechanical_simulation"; the fault-free timeline is unchanged.
   std::vector<StageTiming> timeline;
   double total_seconds = 0.0;
 
@@ -130,11 +172,21 @@ struct PipelineResult {
 /// kFailedPrecondition, before any work, when `preop` or `intraop` holds a
 /// NaN or infinite voxel (check_finite_scan), and otherwise only when every
 /// ladder rung failed — no usable field exists at all.
+///
+/// `preop_model`, when non-null, carries the case model between scans: on
+/// entry it may hold the model of an earlier call with the same `preop`,
+/// `preop_labels` and `config`; when that model matches this scan it is used
+/// as is, otherwise the slot is cleared before a new model is built. On
+/// return the slot holds the model this scan used. The result is the same
+/// bits either way. With no slot the model is built, used and released
+/// before the FEM stage.
 PipelineResult run_intraop_pipeline(const ImageF& preop, const ImageL& preop_labels,
                                     const ImageF& intraop,
                                     const PipelineConfig& config,
                                     const std::vector<seg::Prototype>* reuse_prototypes
                                     = nullptr,
-                                    const std::vector<Vec3>* last_good = nullptr);
+                                    const std::vector<Vec3>* last_good = nullptr,
+                                    std::shared_ptr<const PreopModel>* preop_model
+                                    = nullptr);
 
 }  // namespace neuro::core

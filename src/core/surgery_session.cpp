@@ -62,8 +62,12 @@ const PipelineResult& SurgerySession::process_scan(
       ++first_retained_scan_;
     }
   }
+  // Registration gives every rigid-on scan a new transform, so such a
+  // session would only ever hold a model that cannot match.
+  std::shared_ptr<const PreopModel>* model =
+      config_.do_rigid_registration ? nullptr : &preop_model_;
   results_.push_back(run_intraop_pipeline(preop_, preop_labels_, intraop,
-                                          config, reuse, last_good));
+                                          config, reuse, last_good, model));
   ++scans_processed_;
   const PipelineResult& r = results_.back();
   // Carry the (refreshed) model and the validated field forward. The ladder

@@ -19,13 +19,23 @@
 // lightweight ScanSummary (timings, degradation report, solve stats)
 // forever, so the aggregate timeline and the audit trail never truncate.
 //
+// Preoperative model reuse (docs/perf.md): a session whose scans share a
+// frame (rigid registration off) keeps the PreopModel of its last scan and
+// hands it to the next one, which skips every preop-derived rebuild when the
+// model's key still matches. The results are the bits a fresh pipeline
+// produces. A session with rigid registration on registers every scan anew,
+// so its key never repeats and it keeps no model.
+//
 // Crash/eviction contract: checkpoint() captures everything a future
 // process (or a re-created session in the same server) needs to continue
 // the case — the prototype model and the last validated field — and the
-// restoring constructor resumes from such a checkpoint.
+// restoring constructor resumes from such a checkpoint. The preop model is
+// not part of it: it is derived data, and the resumed session's first scan
+// rebuilds it.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -131,6 +141,11 @@ class SurgerySession {
     return last_good_field_;
   }
 
+  /// The preop model the next scan is offered (see file header); null
+  /// before the first scan, after a restore, and always with rigid
+  /// registration on.
+  [[nodiscard]] const PreopModel* preop_model() const { return preop_model_.get(); }
+
   /// Everything needed to resume this case elsewhere (see SessionCheckpoint).
   [[nodiscard]] SessionCheckpoint checkpoint() const;
 
@@ -155,6 +170,7 @@ class SurgerySession {
   std::vector<ScanSummary> summaries_;  ///< scans processed by this object
   int summary_offset_ = 0;  ///< scans processed before restore (no summaries)
   std::vector<Vec3> last_good_field_;  ///< checkpoint for the kLastGood rung
+  std::shared_ptr<const PreopModel> preop_model_;  ///< offered to the next scan
 };
 
 }  // namespace neuro::core

@@ -5,6 +5,7 @@
 #include "base/check.h"
 #include "base/rng.h"
 #include "image/distance.h"
+#include "obs/trace.h"
 
 namespace neuro::seg {
 
@@ -12,6 +13,7 @@ FeatureStack build_localization_channels(const ImageL& preop_labels,
                                          const IntraopSegmentationConfig& config) {
   NEURO_REQUIRE(!config.classes.empty(),
                 "build_localization_channels: no classes configured");
+  obs::Span span = obs::global_span("seg.localization");
   FeatureStack localization;
   for (const std::uint8_t cls : config.classes) {
     localization.add_channel(distance_to_label(preop_labels, cls, config.dt_saturation_mm),
@@ -24,6 +26,7 @@ FeatureStack build_feature_stack(const ImageF& scan, const FeatureStack& localiz
                                  const IntraopSegmentationConfig& config) {
   NEURO_REQUIRE(scan.dims() == localization.dims(),
                 "build_feature_stack: scan/localization dims mismatch");
+  obs::Span span = obs::global_span("seg.features");
   FeatureStack stack;
   stack.add_channel(scan, config.intensity_weight);
   stack.add_channels(localization);
@@ -42,17 +45,21 @@ std::vector<Prototype> model_prototypes(const FeatureStack& stack,
                                         const ImageL& preop_labels,
                                         const IntraopSegmentationConfig& config,
                                         const std::vector<Prototype>* reuse) {
+  obs::Span span = obs::global_span("seg.prototypes");
   if (reuse != nullptr && !reuse->empty()) {
     std::vector<Prototype> prototypes = *reuse;
     refresh_prototypes(prototypes, stack);
+    span.attr("refreshed", static_cast<std::int64_t>(prototypes.size()));
     return prototypes;
   }
   // First scan: select the statistical model from the preoperative
   // segmentation (standing in for the < 5 minutes of expert interaction).
   Rng rng(config.seed);
-  return select_prototypes_robust(preop_labels, stack, config.prototypes_per_class, rng,
-                                  config.exclude_classes, config.prototype_margin_mm,
-                                  config.prototype_trim_mads);
+  std::vector<Prototype> prototypes = select_prototypes_robust(
+      preop_labels, stack, config.prototypes_per_class, rng, config.exclude_classes,
+      config.prototype_margin_mm, config.prototype_trim_mads);
+  span.attr("selected", static_cast<std::int64_t>(prototypes.size()));
+  return prototypes;
 }
 
 IntraopSegmentation segment_intraop(const ImageF& scan, const ImageL& preop_labels,

@@ -243,6 +243,36 @@ TEST_F(ServiceTest, SolvesAndResumesAfterEviction) {
   EXPECT_EQ(stats.resumes, 1);
 }
 
+TEST_F(ServiceTest, FollowUpsReusePreopModelUntilEviction) {
+  // The session hands its preop model from scan to scan; eviction drops it
+  // with the live session, so the resumed session builds it once again.
+  ServerOptions options;
+  options.workers = 1;
+  SessionServer server(options);
+  const SessionId session = open_session(server);
+  auto& built = obs::metrics().counter("pipeline.preop_model.built");
+  auto& reused = obs::metrics().counter("pipeline.preop_model.reused");
+  const auto run = [&](std::size_t scan) {
+    auto ticket = server.submit(session, (*cases_)[scan].intraop);
+    ASSERT_TRUE(ticket.ok());
+    const RequestReport report = server.wait(ticket.value());
+    ASSERT_TRUE(report.status.ok()) << report.status;
+  };
+  const std::int64_t built0 = built.value();
+  const std::int64_t reused0 = reused.value();
+  run(0);  // model-building scan
+  run(1);
+  run(2);
+  EXPECT_EQ(built.value() - built0, 1);
+  EXPECT_EQ(reused.value() - reused0, 2);
+
+  server.evict_session(session);
+  run(1);  // resumed from the checkpoint: rebuilds
+  run(2);
+  EXPECT_EQ(built.value() - built0, 2);
+  EXPECT_EQ(reused.value() - reused0, 3);
+}
+
 TEST_F(ServiceTest, MidFlightDeadlineSteersDownTheLadder) {
   ServerOptions options;
   options.workers = 1;

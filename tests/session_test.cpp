@@ -1,7 +1,13 @@
 // Integration tests for the multi-scan SurgerySession: prototype-model reuse
-// across scans, per-scan accuracy over a progressing deformation, and the
-// aggregate timeline.
+// across scans, per-scan accuracy over a progressing deformation, the
+// aggregate timeline, and preop-model reuse that reproduces a fresh pipeline
+// bit for bit.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "core/evaluation.h"
 #include "core/surgery_session.h"
@@ -232,6 +238,216 @@ TEST_F(RetentionCaseTest, ResumesACaseFromItsCheckpoint) {
   for (std::size_t i = 0; i < prototypes.size(); ++i) {
     EXPECT_EQ(prototypes[i].voxel, checkpoint.prototypes[i].voxel);
     EXPECT_EQ(prototypes[i].label, checkpoint.prototypes[i].label);
+  }
+}
+
+// --- Preoperative model reuse ------------------------------------------------
+
+template <class T>
+bool same_bytes(const T* a, std::size_t na, const T* b, std::size_t nb) {
+  return na == nb && (na == 0 || std::memcmp(a, b, na * sizeof(T)) == 0);
+}
+template <class T>
+bool same(const std::vector<T>& a, const std::vector<T>& b) {
+  return same_bytes(a.data(), a.size(), b.data(), b.size());
+}
+template <class T>
+bool same(const Image3D<T>& a, const Image3D<T>& b) {
+  return a.same_grid(b) && same(a.data(), b.data());
+}
+template <class Id, class T>
+bool same(const base::IdVector<Id, T>& a, const base::IdVector<Id, T>& b) {
+  return same_bytes(a.data(), a.size(), b.data(), b.size());
+}
+
+void expect_same_segmentation(const seg::IntraopSegmentation& a,
+                              const seg::IntraopSegmentation& b, const std::string& what) {
+  EXPECT_TRUE(same(a.labels, b.labels)) << what;
+  ASSERT_EQ(a.prototypes.size(), b.prototypes.size()) << what;
+  for (std::size_t i = 0; i < a.prototypes.size(); ++i) {
+    EXPECT_EQ(a.prototypes[i].voxel, b.prototypes[i].voxel) << what << ", prototype " << i;
+    EXPECT_TRUE(same(a.prototypes[i].features, b.prototypes[i].features))
+        << what << ", prototype " << i;
+  }
+}
+
+/// Every product a scan hands on or shows, compared byte for byte.
+void expect_same_result(const PipelineResult& a, const PipelineResult& b,
+                        const std::string& what) {
+  expect_same_segmentation(a.segmentation, b.segmentation, what);
+  EXPECT_TRUE(same(a.preop_classified_labels, b.preop_classified_labels)) << what;
+  EXPECT_TRUE(same(a.aligned_preop, b.aligned_preop)) << what;
+  EXPECT_TRUE(same(a.brain_mesh.nodes, b.brain_mesh.nodes) &&
+              same(a.brain_mesh.tets, b.brain_mesh.tets) &&
+              same(a.brain_mesh.tet_labels, b.brain_mesh.tet_labels))
+      << what;
+  EXPECT_TRUE(same(a.surface_match.surface.vertices, b.surface_match.surface.vertices) &&
+              same(a.surface_match.surface.mesh_nodes,
+                   b.surface_match.surface.mesh_nodes) &&
+              same(a.surface_match.displacements, b.surface_match.displacements))
+      << what;
+  EXPECT_TRUE(same(a.fem.node_displacements, b.fem.node_displacements)) << what;
+  EXPECT_TRUE(same(a.forward_field, b.forward_field)) << what;
+  EXPECT_TRUE(same(a.backward_field, b.backward_field)) << what;
+  EXPECT_TRUE(same(a.warped_preop, b.warped_preop)) << what;
+}
+
+/// A session's state before a scan: what a fresh pipeline is handed.
+struct SessionState {
+  std::vector<seg::Prototype> prototypes;
+  std::vector<Vec3> last_good;
+
+  explicit SessionState(const SurgerySession& session)
+      : prototypes(session.prototypes()), last_good(session.last_good_field()) {}
+
+  [[nodiscard]] PipelineResult fresh(const phantom::PhantomCase& preop,
+                                     const ImageF& intraop,
+                                     const PipelineConfig& config) const {
+    return run_intraop_pipeline(preop.preop, preop.preop_labels, intraop, config,
+                                prototypes.empty() ? nullptr : &prototypes,
+                                last_good.empty() ? nullptr : &last_good);
+  }
+};
+
+class PreopModelReuseTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    phantom::PhantomConfig pc;
+    pc.dims = {32, 32, 32};
+    pc.spacing = {3.5, 3.5, 3.5};
+    cases_ = new std::vector<phantom::PhantomCase>(phantom::make_case_sequence(
+        pc, phantom::ShiftConfig{}, {0.0, 0.4, 0.7, 1.0}));
+  }
+  static void TearDownTestSuite() {
+    delete cases_;
+    cases_ = nullptr;
+  }
+  static PipelineConfig config() {
+    PipelineConfig config = default_pipeline_config();
+    config.do_rigid_registration = false;
+    return config;
+  }
+  static const phantom::PhantomCase& scan(std::size_t i) { return (*cases_)[i]; }
+
+  static std::vector<phantom::PhantomCase>* cases_;
+};
+std::vector<phantom::PhantomCase>* PreopModelReuseTest::cases_ = nullptr;
+
+TEST_F(PreopModelReuseTest, FollowUpScansMatchAFreshPipeline) {
+  SurgerySession session(scan(0).preop, scan(0).preop_labels, config());
+  const PipelineResult& first = session.process_scan(scan(0).intraop);
+  EXPECT_FALSE(first.preop_model_reused);
+  ASSERT_NE(session.preop_model(), nullptr);
+  const PreopModel* model = session.preop_model();
+  for (std::size_t s = 1; s < cases_->size(); ++s) {
+    const SessionState before(session);
+    const PipelineResult& reused = session.process_scan(scan(s).intraop);
+    EXPECT_TRUE(reused.preop_model_reused) << "scan " << s;
+    EXPECT_EQ(session.preop_model(), model) << "scan " << s;
+    expect_same_result(reused, before.fresh(scan(0), scan(s).intraop, config()),
+                       "scan " + std::to_string(s));
+    // Both classifications also match the seg layer's own entry point, which
+    // refreshes the carried prototypes against each scan.
+    expect_same_segmentation(
+        reused.segmentation,
+        seg::segment_intraop(scan(s).intraop, reused.aligned_preop_labels, config().seg,
+                             nullptr, &before.prototypes),
+        "seg::segment_intraop, scan " + std::to_string(s));
+    EXPECT_TRUE(same(reused.preop_classified_labels,
+                     seg::segment_intraop(reused.aligned_preop, reused.aligned_preop_labels,
+                                          config().seg, nullptr,
+                                          &reused.segmentation.prototypes)
+                         .labels))
+        << "scan " << s;
+  }
+}
+
+TEST_F(PreopModelReuseTest, HitMatchesFreshAtEachRankCount) {
+  // The request's rank grant changes from scan to scan under the service.
+  // The model built on scan 0's ranks serves scan 2 on any other count.
+  SurgerySession opened(scan(0).preop, scan(0).preop_labels, config());
+  opened.process_scan(scan(0).intraop);
+  const SessionState before(opened);
+  for (const int nranks : {1, 2, 4}) {
+    SurgerySession session(scan(0).preop, scan(0).preop_labels, config());
+    session.process_scan(scan(0).intraop);
+    const PipelineResult& hit =
+        session.process_scan(scan(2).intraop, ScanOverrides{.nranks = nranks});
+    EXPECT_TRUE(hit.preop_model_reused) << nranks << " ranks";
+    PipelineConfig ranks = config();
+    ranks.fem.nranks = nranks;
+    expect_same_result(hit, before.fresh(scan(0), scan(2).intraop, ranks),
+                       std::to_string(nranks) + " ranks");
+  }
+}
+
+TEST_F(PreopModelReuseTest, RestoredSessionRebuildsThenReuses) {
+  SurgerySession original(scan(0).preop, scan(0).preop_labels, config());
+  original.process_scan(scan(0).intraop);
+  original.process_scan(scan(1).intraop);
+  SurgerySession resumed(scan(0).preop, scan(0).preop_labels, config(),
+                         original.checkpoint());
+  EXPECT_EQ(resumed.preop_model(), nullptr);  // not part of the checkpoint
+  for (const std::size_t s : {2, 3}) {
+    const SessionState before(resumed);
+    const PipelineResult& r = resumed.process_scan(scan(s).intraop);
+    EXPECT_EQ(r.preop_model_reused, s == 3) << "scan " << s;
+    expect_same_result(r, before.fresh(scan(0), scan(s).intraop, config()),
+                       "resumed scan " + std::to_string(s));
+  }
+}
+
+TEST_F(PreopModelReuseTest, ScanOnAnotherGridRebuilds) {
+  SurgerySession session(scan(0).preop, scan(0).preop_labels, config());
+  session.process_scan(scan(0).intraop);
+  // The same voxels one voxel further along x: a different intraop grid.
+  const ImageF& base = scan(1).intraop;
+  ImageF moved(base.dims(), 0.0f, base.spacing(),
+               base.origin() + Vec3{base.spacing().x, 0.0, 0.0});
+  moved.data() = base.data();
+  const SessionState before(session);
+  const PipelineResult& r = session.process_scan(moved);
+  EXPECT_FALSE(r.preop_model_reused);
+  ASSERT_NE(session.preop_model(), nullptr);
+  EXPECT_EQ(session.preop_model()->grid_origin.x, moved.origin().x);
+  expect_same_result(r, before.fresh(scan(0), moved, config()), "moved grid");
+  // Back on the original grid the key changes again: another rebuild.
+  const PipelineResult& back = session.process_scan(scan(2).intraop);
+  EXPECT_FALSE(back.preop_model_reused);
+}
+
+TEST_F(PreopModelReuseTest, OtherPrototypesRebuild) {
+  // The model's preop classification depends on the prototype locations;
+  // a caller handing other prototypes gets a rebuild, not a stale model.
+  std::shared_ptr<const PreopModel> slot;
+  const PipelineResult first = run_intraop_pipeline(
+      scan(0).preop, scan(0).preop_labels, scan(0).intraop, config(), nullptr, nullptr,
+      &slot);
+  ASSERT_NE(slot, nullptr);
+  std::vector<seg::Prototype> fewer = first.segmentation.prototypes;
+  fewer.pop_back();
+  const PipelineResult r = run_intraop_pipeline(scan(0).preop, scan(0).preop_labels,
+                                                scan(1).intraop, config(), &fewer,
+                                                nullptr, &slot);
+  EXPECT_FALSE(r.preop_model_reused);
+  expect_same_result(r,
+                     run_intraop_pipeline(scan(0).preop, scan(0).preop_labels,
+                                          scan(1).intraop, config(), &fewer),
+                     "fewer prototypes");
+  const PipelineResult again = run_intraop_pipeline(
+      scan(0).preop, scan(0).preop_labels, scan(2).intraop, config(), &fewer, nullptr,
+      &slot);
+  EXPECT_TRUE(again.preop_model_reused);
+}
+
+TEST_F(PreopModelReuseTest, RigidSessionKeepsNoModel) {
+  PipelineConfig rigid = config();
+  rigid.do_rigid_registration = true;
+  SurgerySession session(scan(0).preop, scan(0).preop_labels, rigid);
+  for (const std::size_t s : {0, 1}) {
+    const PipelineResult& r = session.process_scan(scan(s).intraop);
+    EXPECT_FALSE(r.preop_model_reused) << "scan " << s;
+    EXPECT_EQ(session.preop_model(), nullptr) << "scan " << s;
   }
 }
 

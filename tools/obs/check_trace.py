@@ -20,9 +20,10 @@ Default mode — Chrome trace-event JSON (Tracer::write_chrome_trace):
      failure message sums the per-rank drop counts.
 
 With --expect-pipeline the trace must additionally look like a full
-run_intraop_pipeline run (ISSUE 5 acceptance): one span per pipeline stage,
-at least one "fem.rung" span per degradation rung attempted, and at least one
-Krylov per-iteration span carrying a "residual" attribute.
+run_intraop_pipeline run: one span per pipeline stage (the preop-model stage
+carrying its 0/1 "reused" attribute), at least one "fem.rung" span per
+degradation rung attempted, and at least one Krylov per-iteration span
+carrying a "residual" attribute.
 
 Bundle mode (--bundle) — flight-recorder post-mortem JSON
 (obs::FlightRecorder::write_bundle, schema neuro.postmortem.v1):
@@ -54,6 +55,7 @@ EPS_US = 0.002
 
 PIPELINE_STAGES = [
     "pipeline.rigid_registration",
+    "pipeline.preop_model",
     "pipeline.tissue_classification",
     "pipeline.surface_displacement",
     "pipeline.biomechanical_simulation",
@@ -177,6 +179,10 @@ def check_pipeline_expectations(events, errors):
             fail(errors, f"expected a span for pipeline stage {stage!r}")
     if "pipeline" not in names:
         fail(errors, "expected the 'pipeline' root span")
+    for e in names.get("pipeline.preop_model", []):
+        if e.get("args", {}).get("reused") not in (0, 1):
+            fail(errors, "a 'pipeline.preop_model' span is missing its 0/1 "
+                         "'reused' attribute")
     if "fem.rung" not in names:
         fail(errors, "expected at least one 'fem.rung' degradation-rung span")
     else:
