@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include "base/check.h"
+#include "base/numerics_annotations.h"
 #include "image/filters.h"
 
 namespace neuro::core {
@@ -11,12 +14,21 @@ namespace neuro::core {
 ImageV rasterize_displacements(const mesh::TetMesh& mesh,
                                const std::vector<Vec3>& node_displacements,
                                const ImageF& grid, ImageL* support) {
-  NEURO_REQUIRE(static_cast<int>(node_displacements.size()) == mesh.num_nodes(),
-                "rasterize: displacement count != node count");
   ImageV out(grid.dims(), Vec3{}, grid.spacing(), grid.origin());
   if (support != nullptr) {
     *support = ImageL(grid.dims(), 0, grid.spacing(), grid.origin());
   }
+  rasterize_slab(mesh, node_displacements, out, support, 0, out.dims().z);
+  return out;
+}
+
+NEURO_BITEXACT
+void rasterize_slab(const mesh::TetMesh& mesh, const std::vector<Vec3>& node_displacements,
+                    ImageV& out, ImageL* support, int k_begin, int k_end) {
+  NEURO_REQUIRE(static_cast<int>(node_displacements.size()) == mesh.num_nodes(),
+                "rasterize: displacement count != node count");
+  NEURO_REQUIRE(support == nullptr || support->dims() == out.dims(),
+                "rasterize: support grid mismatch");
   const IVec3 d = out.dims();
   const Vec3 sp = out.spacing();
   const Vec3 org = out.origin();
@@ -24,6 +36,8 @@ ImageV rasterize_displacements(const mesh::TetMesh& mesh,
   // Scan each tet's voxel bounding box; inside-tests use barycentrics with a
   // small tolerance so faces shared between tets claim their voxels exactly
   // once (last writer wins; the field is continuous across faces anyway).
+  // Every slab walks all tets in the same order, so the last writer of a
+  // voxel does not depend on how the grid is split.
   constexpr double kTol = 1e-9;
   for (const mesh::TetId t : mesh.tet_ids()) {
     const auto& tet = mesh.tets[t];
@@ -36,12 +50,14 @@ ImageV rasterize_displacements(const mesh::TetMesh& mesh,
     box.expand(b);
     box.expand(c);
     box.expand(e);
+    const int k0 = std::max(k_begin, static_cast<int>(std::ceil((box.lo.z - org.z) / sp.z)));
+    const int k1 =
+        std::min(k_end - 1, static_cast<int>(std::floor((box.hi.z - org.z) / sp.z)));
+    if (k0 > k1) continue;
     const int i0 = std::max(0, static_cast<int>(std::ceil((box.lo.x - org.x) / sp.x)));
     const int j0 = std::max(0, static_cast<int>(std::ceil((box.lo.y - org.y) / sp.y)));
-    const int k0 = std::max(0, static_cast<int>(std::ceil((box.lo.z - org.z) / sp.z)));
     const int i1 = std::min(d.x - 1, static_cast<int>(std::floor((box.hi.x - org.x) / sp.x)));
     const int j1 = std::min(d.y - 1, static_cast<int>(std::floor((box.hi.y - org.y) / sp.y)));
-    const int k1 = std::min(d.z - 1, static_cast<int>(std::floor((box.hi.z - org.z) / sp.z)));
 
     for (int k = k0; k <= k1; ++k) {
       for (int j = j0; j <= j1; ++j) {
@@ -59,7 +75,6 @@ ImageV rasterize_displacements(const mesh::TetMesh& mesh,
       }
     }
   }
-  return out;
 }
 
 void extend_displacement_field(ImageV& field, const ImageL& support, int passes,
@@ -67,67 +82,100 @@ void extend_displacement_field(ImageV& field, const ImageL& support, int passes,
   NEURO_REQUIRE(field.dims() == support.dims(), "extend: grid mismatch");
   NEURO_REQUIRE(passes >= 0 && decay_per_pass > 0.0 && decay_per_pass <= 1.0,
                 "extend: bad parameters");
-  const IVec3 d = field.dims();
   ImageL filled = support;
+  ImageL next_filled(support.dims(), 0, support.spacing(), support.origin());
   for (int pass = 0; pass < passes; ++pass) {
-    ImageL next_filled = filled;
-    ImageV next_field = field;
-    for (int k = 0; k < d.z; ++k) {
-      for (int j = 0; j < d.y; ++j) {
-        for (int i = 0; i < d.x; ++i) {
-          if (filled(i, j, k)) continue;
-          Vec3 acc{};
-          int n = 0;
-          auto probe = [&](int ii, int jj, int kk) {
-            if (ii < 0 || jj < 0 || kk < 0 || ii >= d.x || jj >= d.y || kk >= d.z) return;
-            if (filled(ii, jj, kk)) {
-              acc += field(ii, jj, kk);
-              ++n;
-            }
-          };
-          probe(i - 1, j, k);
-          probe(i + 1, j, k);
-          probe(i, j - 1, k);
-          probe(i, j + 1, k);
-          probe(i, j, k - 1);
-          probe(i, j, k + 1);
-          if (n > 0) {
-            next_field(i, j, k) = (decay_per_pass / n) * acc;
-            next_filled(i, j, k) = 1;
-          }
+    extend_pass_slab(field, filled, next_filled, decay_per_pass, 0, field.dims().z);
+    std::swap(filled, next_filled);
+  }
+}
+
+NEURO_BITEXACT
+void extend_pass_slab(ImageV& field, const ImageL& filled, ImageL& next_filled,
+                      double decay_per_pass, int k_begin, int k_end) {
+  NEURO_REQUIRE(filled.dims() == field.dims() && next_filled.dims() == field.dims(),
+                "extend: grid mismatch");
+  const IVec3 d = field.dims();
+  for (int k = k_begin; k < k_end; ++k) {
+    for (int j = 0; j < d.y; ++j) {
+      for (int i = 0; i < d.x; ++i) {
+        if (filled(i, j, k)) {
+          next_filled(i, j, k) = 1;
+          continue;
         }
+        Vec3 acc{};
+        int n = 0;
+        auto probe = [&](int ii, int jj, int kk) {
+          if (ii < 0 || jj < 0 || kk < 0 || ii >= d.x || jj >= d.y || kk >= d.z) return;
+          if (filled(ii, jj, kk)) {
+            acc += field(ii, jj, kk);
+            ++n;
+          }
+        };
+        probe(i - 1, j, k);
+        probe(i + 1, j, k);
+        probe(i, j - 1, k);
+        probe(i, j + 1, k);
+        probe(i, j, k - 1);
+        probe(i, j, k + 1);
+        // Only voxels unfilled at the start of the pass are written and only
+        // filled ones are read, so the pass needs no copy of the field.
+        if (n > 0) field(i, j, k) = (decay_per_pass / n) * acc;
+        next_filled(i, j, k) = n > 0 ? 1 : 0;
       }
     }
-    filled = std::move(next_filled);
-    field = std::move(next_field);
   }
 }
 
 ImageV invert_displacement_field(const ImageV& forward, int iterations) {
-  NEURO_REQUIRE(iterations >= 1, "invert_displacement_field: iterations >= 1");
   ImageV inverse(forward.dims(), Vec3{}, forward.spacing(), forward.origin());
+  invert_slab(forward, iterations, inverse, 0, forward.dims().z);
+  return inverse;
+}
+
+NEURO_BITEXACT
+std::int64_t invert_slab(const ImageV& forward, int iterations, ImageV& inverse,
+                         int k_begin, int k_end) {
+  NEURO_REQUIRE(iterations >= 1, "invert_displacement_field: iterations >= 1");
+  NEURO_REQUIRE(inverse.dims() == forward.dims(), "invert: grid mismatch");
   const IVec3 d = forward.dims();
-  for (int k = 0; k < d.z; ++k) {
+  std::int64_t samples = 0;
+  for (int k = k_begin; k < k_end; ++k) {
     for (int j = 0; j < d.y; ++j) {
       for (int i = 0; i < d.x; ++i) {
         const Vec3 y = forward.voxel_to_physical(i, j, k);
         Vec3 v{};
+        Vec3 last_probe{};
         for (int it = 0; it < iterations; ++it) {
           const Vec3 probe = forward.physical_to_voxel(y + v);
+          // The next iterate is a pure function of the probe point: once the
+          // probe repeats bit for bit, every later iterate equals v.
+          if (it > 0 && std::memcmp(&probe, &last_probe, sizeof(Vec3)) == 0) break;
           v = -1.0 * sample_trilinear_vec(forward, probe);
+          last_probe = probe;
+          ++samples;
         }
         inverse(i, j, k) = v;
       }
     }
   }
-  return inverse;
+  return samples;
 }
 
 ImageF warp_backward(const ImageF& img, const ImageV& field, float outside) {
   NEURO_REQUIRE(img.dims() == field.dims(), "warp_backward: grid mismatch");
   ImageF out(field.dims(), outside, field.spacing(), field.origin());
+  warp_backward_slab(img, field, out, 0, out.dims().z);
+  return out;
+}
+
+NEURO_BITEXACT
+void warp_backward_slab(const ImageF& img, const ImageV& field, ImageF& out, int k_begin,
+                        int k_end) {
+  NEURO_REQUIRE(img.dims() == field.dims() && out.dims() == field.dims(),
+                "warp_backward: grid mismatch");
   const IVec3 d = out.dims();
-  for (int k = 0; k < d.z; ++k) {
+  for (int k = k_begin; k < k_end; ++k) {
     for (int j = 0; j < d.y; ++j) {
       for (int i = 0; i < d.x; ++i) {
         const Vec3 y = out.voxel_to_physical(i, j, k);
@@ -140,7 +188,6 @@ ImageF warp_backward(const ImageF& img, const ImageV& field, float outside) {
       }
     }
   }
-  return out;
 }
 
 ImageL warp_backward_labels(const ImageL& labels, const ImageV& field,

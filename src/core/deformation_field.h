@@ -9,6 +9,7 @@
 // fixed-point iteration, and warping is a backward trilinear resample.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "image/image3d.h"
@@ -23,6 +24,10 @@ ImageV rasterize_displacements(const mesh::TetMesh& mesh,
                                const std::vector<Vec3>& node_displacements,
                                const ImageF& grid, ImageL* support = nullptr);
 
+/// Defaults of extend_displacement_field and invert_displacement_field.
+inline constexpr double kExtendDecayPerPass = 0.9;
+inline constexpr int kInvertIterations = 10;
+
 /// Extends a field beyond its support by breadth-first propagation: each pass
 /// fills voxels adjacent to already-filled ones with the mean of their filled
 /// neighbours scaled by `decay_per_pass`. Needed before inversion: the forward
@@ -30,15 +35,44 @@ ImageV rasterize_displacements(const mesh::TetMesh& mesh,
 /// at the brain-shift gap must see a smooth continuation (the tissue the gap
 /// voxels "came from" lies just outside the mesh).
 void extend_displacement_field(ImageV& field, const ImageL& support, int passes,
-                               double decay_per_pass = 0.9);
+                               double decay_per_pass = kExtendDecayPerPass);
 
 /// Inverts a displacement field by fixed-point iteration: returns v with
 /// v(y) ≈ −u(y + v(y)), so that y + v(y) recovers the source point of y.
-ImageV invert_displacement_field(const ImageV& forward, int iterations = 10);
+ImageV invert_displacement_field(const ImageV& forward,
+                                 int iterations = kInvertIterations);
 
 /// Backward warp: out(y) = img(y + field(y)) with trilinear interpolation.
 /// `field` holds physical-unit displacement vectors on the output grid.
 ImageF warp_backward(const ImageF& img, const ImageV& field, float outside = 0.0f);
+
+// Slab kernels. Each function above is its kernel run over the whole grid.
+// A kernel writes only the z-slices [k_begin, k_end) of its output buffers,
+// which the caller allocates at full size, and reads its inputs anywhere. So
+// ranks that own disjoint slabs can run one concurrently, and the union of
+// their slabs is bit-identical to the whole-grid call at any split.
+
+/// rasterize_displacements into `out` (and `support`, when non-null), both
+/// zero-filled on the output grid beforehand.
+void rasterize_slab(const mesh::TetMesh& mesh, const std::vector<Vec3>& node_displacements,
+                    ImageV& out, ImageL* support, int k_begin, int k_end);
+
+/// One pass of extend_displacement_field. Reads `filled` (the voxels filled
+/// before the pass, anywhere on the grid) and `field` at those voxels; writes
+/// `field` at the slab's newly filled voxels and `next_filled` (filled or
+/// newly filled) over the whole slab. Ranks need a barrier between passes.
+void extend_pass_slab(ImageV& field, const ImageL& filled, ImageL& next_filled,
+                      double decay_per_pass, int k_begin, int k_end);
+
+/// invert_displacement_field into `inverse`. A voxel's fixed-point loop stops
+/// early once its probe point repeats bit for bit, since every later iterate
+/// would repeat too. Returns the trilinear samples taken.
+std::int64_t invert_slab(const ImageV& forward, int iterations, ImageV& inverse,
+                         int k_begin, int k_end);
+
+/// warp_backward into `out`, prefilled with the outside value.
+void warp_backward_slab(const ImageF& img, const ImageV& field, ImageF& out, int k_begin,
+                        int k_end);
 
 /// Nearest-neighbour warp for label maps.
 ImageL warp_backward_labels(const ImageL& labels, const ImageV& field,

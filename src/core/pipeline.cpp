@@ -5,6 +5,7 @@
 #include <cstring>
 #include <sstream>
 #include <type_traits>
+#include <utility>
 
 #include "base/check.h"
 #include "core/deformation_field.h"
@@ -214,6 +215,82 @@ base::Status check_finite_scan(const ImageF& scan, std::string_view what) {
   return {base::StatusCode::kFailedPrecondition, oss.str()};
 }
 
+ResampledFields resample_for_display(const mesh::TetMesh& mesh,
+                                     const std::vector<Vec3>& node_displacements,
+                                     const ImageF& grid, const ImageF& preop, int nranks) {
+  NEURO_REQUIRE(preop.dims() == grid.dims(), "resample_for_display: grid mismatch");
+  // Every full-grid buffer is allocated here, on the calling thread, before a
+  // rank region starts: one allocated in a rank thread stays in that thread's
+  // malloc arena and raises peak RSS.
+  const IVec3 d = grid.dims();
+  const auto slab = [&](const par::Communicator& comm) {
+    return par::block_range(d.z, comm.rank(), nranks);
+  };
+  ResampledFields out;
+  out.forward_field = ImageV(d, Vec3{}, grid.spacing(), grid.origin());
+  ImageL support(d, 0, grid.spacing(), grid.origin());
+  {
+    obs::Span sub = obs::global_span("pipeline.viz.rasterize");
+    par::run_spmd(nranks, [&](par::Communicator& comm) {
+      const par::BlockRange s = slab(comm);
+      rasterize_slab(mesh, node_displacements, out.forward_field, &support, s.begin, s.end);
+    });
+  }
+  // Extend past the mesh boundary so the inversion sees a smooth continuation
+  // across the brain-shift gap (≈ max surface displacement wide). The forward
+  // field itself is extended, and restored after the inversion.
+  const double max_disp = field_stats(out.forward_field).max_mm;
+  const double min_spacing = std::min({grid.spacing().x, grid.spacing().y, grid.spacing().z});
+  const int passes = std::min(24, static_cast<int>(max_disp / min_spacing) + 3);
+  {
+    obs::Span sub = obs::global_span("pipeline.viz.extend");
+    ImageL filled = support;
+    ImageL next_filled(d, 0, grid.spacing(), grid.origin());
+    par::run_spmd(nranks, [&](par::Communicator& comm) {
+      const par::BlockRange s = slab(comm);
+      ImageL* before = &filled;
+      ImageL* after = &next_filled;
+      for (int pass = 0; pass < passes; ++pass) {
+        extend_pass_slab(out.forward_field, *before, *after, kExtendDecayPerPass, s.begin,
+                         s.end);
+        comm.barrier();  // pass p + 1 reads what every slab filled in pass p
+        std::swap(before, after);
+      }
+    });
+  }
+  {
+    obs::Span sub = obs::global_span("pipeline.viz.invert");
+    out.backward_field = ImageV(d, Vec3{}, grid.spacing(), grid.origin());
+    std::vector<std::int64_t> samples(static_cast<std::size_t>(nranks), 0);
+    const std::size_t plane = static_cast<std::size_t>(d.x) * static_cast<std::size_t>(d.y);
+    par::run_spmd(nranks, [&](par::Communicator& comm) {
+      const par::BlockRange s = slab(comm);
+      samples[static_cast<std::size_t>(comm.rank())] = invert_slab(
+          out.forward_field, kInvertIterations, out.backward_field, s.begin, s.end);
+      comm.barrier();  // every slab's inversion has read the extended field
+      // Extension wrote only unsupported voxels, and rasterization left +0.0
+      // in each of them, so zeroing them restores the forward field exactly.
+      for (std::size_t v = plane * static_cast<std::size_t>(s.begin);
+           v < plane * static_cast<std::size_t>(s.end); ++v) {
+        if (support.data()[v] == 0) out.forward_field.data()[v] = Vec3{};
+      }
+    });
+    std::int64_t total = 0;
+    for (const std::int64_t n : samples) total += n;
+    sub.attr("samples", total);
+    sub.attr("ranks", nranks);
+  }
+  {
+    obs::Span sub = obs::global_span("pipeline.viz.warp");
+    out.warped_preop = ImageF(d, 0.0f, grid.spacing(), grid.origin());
+    par::run_spmd(nranks, [&](par::Communicator& comm) {
+      const par::BlockRange s = slab(comm);
+      warp_backward_slab(preop, out.backward_field, out.warped_preop, s.begin, s.end);
+    });
+  }
+  return out;
+}
+
 PipelineResult run_intraop_pipeline(const ImageF& preop, const ImageL& preop_labels,
                                     const ImageF& intraop,
                                     const PipelineConfig& config,
@@ -380,31 +457,11 @@ PipelineResult run_intraop_pipeline(const ImageF& preop, const ImageL& preop_lab
 
   // --- 5. Visualization resample (the paper's ~0.5 s step). ---
   stage = obs::timed_span("pipeline.visualization_resample");
-  ImageL support;
-  {
-    obs::Span sub = obs::global_span("pipeline.viz.rasterize");
-    result.forward_field = rasterize_displacements(
-        result.brain_mesh, result.fem.node_displacements, intraop, &support);
-  }
-  // Extend past the mesh boundary so the inversion sees a smooth continuation
-  // across the brain-shift gap (≈ max surface displacement wide).
-  ImageV extended = result.forward_field;
-  const double max_disp = core::field_stats(result.forward_field).max_mm;
-  const double min_spacing =
-      std::min({intraop.spacing().x, intraop.spacing().y, intraop.spacing().z});
-  const int passes = std::min(24, static_cast<int>(max_disp / min_spacing) + 3);
-  {
-    obs::Span sub = obs::global_span("pipeline.viz.extend");
-    extend_displacement_field(extended, support, passes);
-  }
-  {
-    obs::Span sub = obs::global_span("pipeline.viz.invert");
-    result.backward_field = invert_displacement_field(extended);
-  }
-  {
-    obs::Span sub = obs::global_span("pipeline.viz.warp");
-    result.warped_preop = warp_backward(result.aligned_preop, result.backward_field);
-  }
+  ResampledFields fields = resample_for_display(
+      result.brain_mesh, result.fem.node_displacements, intraop, result.aligned_preop, nranks);
+  result.forward_field = std::move(fields.forward_field);
+  result.backward_field = std::move(fields.backward_field);
+  result.warped_preop = std::move(fields.warped_preop);
   result.timeline.push_back({"visualization_resample", stage.close()});
 
   result.total_seconds = total.close();

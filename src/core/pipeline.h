@@ -163,6 +163,24 @@ struct PipelineResult {
 /// Classification and the solve are only defined on finite intensities.
 [[nodiscard]] base::Status check_finite_scan(const ImageF& scan, std::string_view what);
 
+/// The fields of the visualization resample (the paper's ~0.5 s step).
+struct ResampledFields {
+  ImageV forward_field;
+  ImageV backward_field;
+  ImageF warped_preop;
+};
+
+/// The pipeline's visualization resample on `nranks` ranks: the nodal field
+/// rasterized onto `grid`, extended past the mesh, inverted, and `preop`
+/// (on `grid`) warped through the inverse. Each rank owns a z-slab of every
+/// phase, and the fields are bit-identical to the serial rasterize_displacements
+/// → extend_displacement_field → invert_displacement_field → warp_backward
+/// chain at any rank count. The `pipeline.viz.invert` span carries the
+/// trilinear `samples` the inversion took and the `ranks` it ran on.
+ResampledFields resample_for_display(const mesh::TetMesh& mesh,
+                                     const std::vector<Vec3>& node_displacements,
+                                     const ImageF& grid, const ImageF& preop, int nranks);
+
 /// Runs the full pipeline on one intraoperative scan. When
 /// `reuse_prototypes` is non-null the statistical model is not re-selected:
 /// the recorded prototype locations are refreshed against the new scan (the

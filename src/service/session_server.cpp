@@ -487,7 +487,6 @@ RequestReport SessionServer::process(PendingRequest request) {
   RequestReport report;
   report.id = request.id;
   report.session = request.session;
-  report.rung = "-";
   report.queue_seconds = request.budget.elapsed_seconds();
 
   obs::Span span = obs::timed_span("service.request");
@@ -623,7 +622,6 @@ RequestReport SessionServer::abandon(PendingRequest request) const {
   RequestReport report;
   report.id = request.id;
   report.session = request.session;
-  report.rung = "-";
   report.queue_seconds = request.budget.elapsed_seconds();
   report.time_to_field_seconds = report.queue_seconds;
   report.status = {base::StatusCode::kUnavailable,

@@ -122,7 +122,7 @@ struct RequestReport {
   bool degraded = false;
   bool crashed = false;  ///< this request's solve corrupted the live session
   bool resumed = false;  ///< the session was rebuilt from its checkpoint
-  std::string rung;      ///< accepted ladder rung name; "-" when no field
+  std::string rung = "-";  ///< accepted ladder rung name; "-" when no field
   int scan_index = -1;   ///< session scan number this request became
   int retries = 0;
   int ranks = 0;         ///< ranks granted by the shared pool

@@ -1,12 +1,19 @@
-// Tests for deformation-field rasterization, inversion, extension, warping
-// and the field statistics used by the evaluation module.
+// Tests for deformation-field rasterization, inversion, extension, warping,
+// the field statistics used by the evaluation module, and the pipeline's
+// rank-parallel visualization resample.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "base/check.h"
 #include "core/deformation_field.h"
+#include "core/pipeline.h"
+#include "image/filters.h"
 #include "mesh/mesher.h"
+#include "obs/trace.h"
 
 namespace neuro::core {
 namespace {
@@ -221,6 +228,165 @@ TEST(RoundTripTest, RasterizeInvertWarpRecoversImage) {
     }
   }
   EXPECT_LT(worst, 0.15);
+}
+
+template <typename T>
+bool same_bits(const Image3D<T>& a, const Image3D<T>& b) {
+  return a.dims() == b.dims() &&
+         std::memcmp(a.data().data(), b.data().data(), a.size() * sizeof(T)) == 0;
+}
+
+// The visualization resample of a brain-like case: a ball meshed on a
+// 32×32×31 grid (the odd z extent splits into uneven slabs at 2, 3 and 4
+// ranks), a nodal field that sinks the top of the ball by up to 6 mm, and an
+// image to warp. The field ends at the mesh, so the extended field has a
+// zero region around it, as the pipeline's does.
+struct ResampleCase {
+  ImageF image;
+  mesh::TetMesh mesh;
+  std::vector<Vec3> u;
+};
+
+const ResampleCase& resample_case() {
+  static const ResampleCase c = [] {
+    const IVec3 d{32, 32, 31};
+    const Vec3 sp{2.0, 2.0, 2.0};
+    const Vec3 centre{31.0, 31.0, 30.0};
+    ResampleCase r;
+    r.image = ImageF(d, 0.0f, sp);
+    ImageL labels(d, 0, sp);
+    for (int k = 0; k < d.z; ++k) {
+      for (int j = 0; j < d.y; ++j) {
+        for (int i = 0; i < d.x; ++i) {
+          const Vec3 p = labels.voxel_to_physical(i, j, k);
+          if (norm(p - centre) < 22.0) labels(i, j, k) = 1;
+          r.image(i, j, k) =
+              static_cast<float>(100.0 + 40.0 * std::sin(p.x / 7.0) * std::cos(p.y / 5.0) + p.z);
+        }
+      }
+    }
+    mesh::MesherConfig cfg;
+    cfg.stride = 2;
+    cfg.keep_labels = {1};
+    r.mesh = mesh::mesh_labeled_volume(labels, cfg);
+    r.u.resize(static_cast<std::size_t>(r.mesh.num_nodes()));
+    for (const mesh::NodeId n : r.mesh.node_ids()) {
+      const Vec3 q = (r.mesh.nodes[n] - centre) / 22.0;
+      const double sink = std::max(0.0, q.z);
+      r.u[n.index()] = Vec3{1.5 * sink * q.x, -1.0 * sink * q.y, -6.0 * sink * sink};
+    }
+    return r;
+  }();
+  return c;
+}
+
+// The serial chain resample_for_display must reproduce: the public functions,
+// with the pipeline's pass count, on a copy of the forward field.
+struct SerialResample {
+  ImageV forward;
+  ImageV extended;
+  ImageV backward;
+  ImageF warped;
+};
+
+SerialResample serial_resample(const ResampleCase& c) {
+  SerialResample s;
+  ImageL support;
+  s.forward = rasterize_displacements(c.mesh, c.u, c.image, &support);
+  s.extended = s.forward;
+  const Vec3 sp = c.image.spacing();
+  const int passes = std::min(
+      24, static_cast<int>(field_stats(s.forward).max_mm / std::min({sp.x, sp.y, sp.z})) + 3);
+  extend_displacement_field(s.extended, support, passes);
+  s.backward = invert_displacement_field(s.extended);
+  s.warped = warp_backward(c.image, s.backward);
+  return s;
+}
+
+// The fixed-point inversion as it ran before the early exit: exactly
+// `iterations` trilinear samples per voxel.
+ImageV invert_fixed_samples(const ImageV& forward, int iterations) {
+  ImageV inverse(forward.dims(), Vec3{}, forward.spacing(), forward.origin());
+  const IVec3 d = forward.dims();
+  for (int k = 0; k < d.z; ++k) {
+    for (int j = 0; j < d.y; ++j) {
+      for (int i = 0; i < d.x; ++i) {
+        const Vec3 y = forward.voxel_to_physical(i, j, k);
+        Vec3 v{};
+        for (int it = 0; it < iterations; ++it) {
+          const Vec3 probe = forward.physical_to_voxel(y + v);
+          v = -1.0 * sample_trilinear_vec(forward, probe);
+        }
+        inverse(i, j, k) = v;
+      }
+    }
+  }
+  return inverse;
+}
+
+TEST(ResampleTest, RankInvariantAtOneToFourRanks) {
+  const ResampleCase& c = resample_case();
+  const SerialResample serial = serial_resample(c);
+  // The case exercises every phase: extension reaches past the mesh, so the
+  // forward field has to be restored after the inversion.
+  ASSERT_FALSE(same_bits(serial.extended, serial.forward));
+  for (const int nranks : {1, 2, 3, 4}) {
+    SCOPED_TRACE(nranks);
+    const ResampledFields r = resample_for_display(c.mesh, c.u, c.image, c.image, nranks);
+    EXPECT_TRUE(same_bits(r.forward_field, serial.forward));  // restored exactly
+    EXPECT_TRUE(same_bits(r.backward_field, serial.backward));
+    EXPECT_TRUE(same_bits(r.warped_preop, serial.warped));
+  }
+}
+
+TEST(InvertTest, EarlyExitMatchesFixedSampleLoop) {
+  const ImageV& extended = serial_resample(resample_case()).extended;
+  const auto voxels = static_cast<std::int64_t>(extended.size());
+  for (const int iterations : {1, 10, 25}) {
+    SCOPED_TRACE(iterations);
+    EXPECT_TRUE(same_bits(invert_displacement_field(extended, iterations),
+                          invert_fixed_samples(extended, iterations)));
+    ImageV inverse(extended.dims(), Vec3{}, extended.spacing(), extended.origin());
+    const std::int64_t samples =
+        invert_slab(extended, iterations, inverse, 0, extended.dims().z);
+    if (iterations == 1) {
+      EXPECT_EQ(samples, voxels);
+    } else {
+      // Voxels in the zero region stop after one sample, the others later.
+      EXPECT_GT(samples, voxels);
+      EXPECT_LT(samples, voxels * iterations / 2);
+    }
+  }
+}
+
+TEST(ResampleTest, InvertSpanCountsSerialSamples) {
+  const ResampleCase& c = resample_case();
+  const ImageV& extended = serial_resample(c).extended;
+  ImageV inverse(extended.dims(), Vec3{}, extended.spacing(), extended.origin());
+  const std::int64_t serial_samples =
+      invert_slab(extended, kInvertIterations, inverse, 0, extended.dims().z);
+  for (const int nranks : {1, 3}) {
+    SCOPED_TRACE(nranks);
+    obs::global().clear();
+    obs::global().set_enabled(true);
+    static_cast<void>(resample_for_display(c.mesh, c.u, c.image, c.image, nranks));
+    obs::global().set_enabled(false);
+    int spans = 0;
+    std::int64_t samples = -1;
+    std::int64_t ranks = -1;
+    for (const auto& e : obs::global().snapshot()) {
+      if (e.name != "pipeline.viz.invert") continue;
+      ++spans;
+      for (const auto& a : e.attrs) {
+        if (a.key == "samples") samples = a.i;
+        if (a.key == "ranks") ranks = a.i;
+      }
+    }
+    obs::global().clear();
+    EXPECT_EQ(spans, 1);
+    EXPECT_EQ(samples, serial_samples);
+    EXPECT_EQ(ranks, nranks);
+  }
 }
 
 }  // namespace
