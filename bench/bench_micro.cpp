@@ -23,6 +23,7 @@
 #include "par/communicator.h"
 #include "phantom/brain_phantom.h"
 #include "reg/mutual_information.h"
+#include "reg/rigid_registration.h"
 #include "seg/intraop.h"
 #include "solver/bsr_matrix.h"
 #include "solver/krylov.h"
@@ -87,6 +88,39 @@ void BM_MutualInformation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MutualInformation)->Unit(benchmark::kMillisecond);
+
+// One level-0 MI evaluation at the Fig. 6 shape (96^3, 2.5 mm, default
+// registration config): the sampler is built once, as register_rigid_mi
+// builds it once per pyramid level, and the transform moves some samples out
+// of the volume.
+void BM_MiSamplerEvaluate(benchmark::State& state) {
+  const reg::RigidRegistrationConfig rcfg;
+  // Built once per process: every repetition reuses the phantom and pyramid.
+  static const reg::RegistrationPyramid pyr = [&rcfg] {
+    phantom::PhantomConfig pc;
+    pc.dims = {96, 96, 96};
+    pc.spacing = {2.5, 2.5, 2.5};
+    const auto cas = phantom::make_case(pc, phantom::ShiftConfig{});
+    return reg::build_registration_pyramid(cas.intraop, cas.preop, rcfg);
+  }();
+  const reg::MiSampler sampler(pyr.fixed[0], pyr.moving[0], rcfg.mi);
+  RigidTransform t;
+  t.center = pyr.center;
+  t.translation = {3.0, -2.0, 1.5};
+  t.rotation = {0.02, -0.03, 0.01};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sampler.evaluate(t));
+  }
+  const int stride = rcfg.mi.sample_stride;
+  const IVec3 d = pyr.fixed[0].dims();
+  const double samples = static_cast<double>((d.x + stride - 1) / stride) *
+                         ((d.y + stride - 1) / stride) * ((d.z + stride - 1) / stride);
+  // Inverted iteration-invariant rate of samples / 1e9: nanoseconds per sample.
+  state.counters["ns_per_sample"] = benchmark::Counter(
+      samples / 1e9,
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_MiSamplerEvaluate)->Unit(benchmark::kMillisecond);
 
 void BM_KnnClassifyVolume(benchmark::State& state) {
   const auto& cas = shared_case();

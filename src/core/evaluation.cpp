@@ -1,5 +1,6 @@
 #include "core/evaluation.h"
 
+#include <algorithm>
 #include <cmath>
 #include <iomanip>
 #include <ostream>
@@ -49,12 +50,16 @@ AccuracyReport evaluate_against_truth(const PipelineResult& result,
       mean_abs_difference(result.warped_preop, truth.intraop, &true_mask);
 
   // Boundary band: within 3 mm of the true intraop brain surface — where the
-  // paper's Fig. 4d judges the match.
+  // paper's Fig. 4d judges the match. No voxel centre lies closer to the
+  // surface than one spacing, so on grids coarser than 3 mm the half-width
+  // widens to the largest spacing; otherwise the band would be empty.
   {
     const ImageF sdf = signed_distance_to_label(true_mask, 1, 1000.0);
+    const Vec3 h = true_mask.spacing();
+    const double half_width = std::max({3.0, h.x, h.y, h.z});
     ImageL band(true_mask.dims(), 0, true_mask.spacing(), true_mask.origin());
     for (std::size_t i = 0; i < band.size(); ++i) {
-      band.data()[i] = std::abs(sdf.data()[i]) <= 3.0 ? 1 : 0;
+      band.data()[i] = std::abs(sdf.data()[i]) <= half_width ? 1 : 0;
     }
     report.mad_boundary_rigid_only =
         mean_abs_difference(result.aligned_preop, truth.intraop, &band);

@@ -121,7 +121,10 @@ MiSampler::MiSampler(const ImageF& fixed, const ImageF& moving, const MiConfig& 
 
 // The per-sample arithmetic is the serial loop's, in the serial order within
 // each slab; only integer counts cross ranks, so the MI is rank-count
-// invariant.
+// invariant. The moving grid's geometry is read once per evaluation: the voxel
+// coordinates are physical_to_voxel's expressions, and the interpolation is
+// sample_trilinear's (same edge rule, same lerps) without its clamps, which
+// are no-ops past the in-bounds test (-0.0 included).
 NEURO_BITEXACT
 double MiSampler::evaluate(const RigidTransform& transform) const {
   obs::Span span = obs::global_span("reg.mi_eval");
@@ -129,14 +132,34 @@ double MiSampler::evaluate(const RigidTransform& transform) const {
   JointHistogram hist = empty_;
   const Mat3 R = transform.rotation_matrix();
   const ImageF& moving = *moving_;
+  const Vec3 origin = moving.origin();
+  const Vec3 spacing = moving.spacing();
   const IVec3 md = moving.dims();
+  const double x_max = md.x - 1, y_max = md.y - 1, z_max = md.z - 1;
+  const float* data = moving.data().data();
+  const std::size_t sy = static_cast<std::size_t>(md.x);
+  const std::size_t sz = sy * static_cast<std::size_t>(md.y);
   for (const Sample& s : samples_) {
-    const Vec3 v = moving.physical_to_voxel(transform.apply(R, s.position));
-    if (v.x < 0 || v.y < 0 || v.z < 0 || v.x > md.x - 1 || v.y > md.y - 1 ||
-        v.z > md.z - 1) {
-      continue;
-    }
-    hist.add_bins(s.fixed_bin, hist.moving_bin(sample_trilinear(moving, v)));
+    const Vec3 p = transform.apply(R, s.position);
+    const double x = (p.x - origin.x) / spacing.x;
+    const double y = (p.y - origin.y) / spacing.y;
+    const double z = (p.z - origin.z) / spacing.z;
+    if (x < 0 || y < 0 || z < 0 || x > x_max || y > y_max || z > z_max) continue;
+    const int i0 = static_cast<int>(x), j0 = static_cast<int>(y), k0 = static_cast<int>(z);
+    const std::size_t di = i0 + 1 < md.x ? 1 : 0;
+    const std::size_t dj = j0 + 1 < md.y ? sy : 0;
+    const std::size_t dk = k0 + 1 < md.z ? sz : 0;
+    const double fx = x - i0, fy = y - j0, fz = z - k0;
+    const float* c = data + static_cast<std::size_t>(i0) + sy * static_cast<std::size_t>(j0) +
+                     sz * static_cast<std::size_t>(k0);
+    auto v = [c](std::size_t off) { return static_cast<double>(c[off]); };
+    const double c00 = v(0) * (1 - fx) + v(di) * fx;
+    const double c10 = v(dj) * (1 - fx) + v(dj + di) * fx;
+    const double c01 = v(dk) * (1 - fx) + v(dk + di) * fx;
+    const double c11 = v(dk + dj) * (1 - fx) + v(dk + dj + di) * fx;
+    const double c0 = c00 * (1 - fy) + c10 * fy;
+    const double c1 = c01 * (1 - fy) + c11 * fy;
+    hist.add_bins(s.fixed_bin, hist.moving_bin(c0 * (1 - fz) + c1 * fz));
   }
   if (comm_ != nullptr) hist.allreduce(*comm_);
   return hist.mutual_information();

@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "base/check.h"
+#include "base/numerics_annotations.h"
 #include "image/filters.h"
 #include "obs/trace.h"
 
@@ -51,12 +52,13 @@ struct LineMax {
 };
 
 /// Golden-section line search for the maximum of f on [a, b] after a simple
-/// expansion bracketing around 0 with step `step`.
+/// expansion bracketing around 0 with step `step`. `f_zero` is f(0), which the
+/// caller already holds.
 template <typename F>
-LineMax line_search_max(F&& f, double step) {
+NEURO_BITEXACT LineMax line_search_max(F&& f, double step, double f_zero) {
   // Bracket: evaluate at -step, 0, +step, expand toward the better side.
   double t0 = -step, t1 = 0.0, t2 = step;
-  double f0 = f(t0), f1 = f(t1), f2 = f(t2);
+  double f0 = f(t0), f1 = f_zero, f2 = f(t2);
   int guard = 0;
   while (guard++ < 12) {
     if (f1 >= f0 && f1 >= f2) break;  // bracketed
@@ -159,7 +161,12 @@ RigidRegistrationResult register_rigid_mi(const RegistrationPyramid& pyramid,
           p[static_cast<std::size_t>(dim)] += t;
           return metric(p);
         };
-        const LineMax m = line_search_max(line, step);
+        // f(0) is `best` bit for bit: `best` was computed at params, or at the
+        // probe whose `p[dim] += m.t` params just repeated. Adding 0.0 leaves
+        // params unchanged unless one is -0.0, and x + t is -0.0 only when x
+        // and t are, so params starting without -0.0 (the identity) never
+        // hold one.
+        const LineMax m = line_search_max(line, step, best);
         if (m.value > best) {
           best = m.value;
           params[static_cast<std::size_t>(dim)] += m.t;

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -13,6 +14,7 @@
 #include "image/image3d.h"
 #include "image/io.h"
 #include "image/transform.h"
+#include "phantom/brain_phantom.h"
 #include "reg/rigid_registration.h"
 
 namespace neuro {
@@ -118,6 +120,91 @@ TEST(GaussianTest, ReducesVariance) {
     return s2 / n - (s / n) * (s / n);
   };
   EXPECT_LT(variance(out), 0.3 * variance(img));
+}
+
+// The per-voxel, per-tap Gaussian that the row-wise passes replaced, kept
+// verbatim as the bit-exactness reference for gaussian_smooth.
+std::vector<double> reference_gaussian_kernel(double sigma) {
+  const int radius = static_cast<int>(std::ceil(3.0 * sigma));
+  std::vector<double> k(static_cast<std::size_t>(2 * radius + 1));
+  double sum = 0.0;
+  for (int i = -radius; i <= radius; ++i) {
+    const double w = std::exp(-0.5 * (i * i) / (sigma * sigma));
+    k[static_cast<std::size_t>(i + radius)] = w;
+    sum += w;
+  }
+  for (auto& w : k) w /= sum;
+  return k;
+}
+
+ImageF reference_convolve_axis(const ImageF& img, const std::vector<double>& kernel,
+                               int axis) {
+  ImageF out(img.dims(), 0.0f, img.spacing(), img.origin());
+  const IVec3 d = img.dims();
+  const int radius = static_cast<int>(kernel.size() / 2);
+  for (int k = 0; k < d.z; ++k) {
+    for (int j = 0; j < d.y; ++j) {
+      for (int i = 0; i < d.x; ++i) {
+        double acc = 0.0;
+        for (int t = -radius; t <= radius; ++t) {
+          const int ii = axis == 0 ? i + t : i;
+          const int jj = axis == 1 ? j + t : j;
+          const int kk = axis == 2 ? k + t : k;
+          acc += kernel[static_cast<std::size_t>(t + radius)] *
+                 static_cast<double>(img.clamped(ii, jj, kk));
+        }
+        out(i, j, k) = static_cast<float>(acc);
+      }
+    }
+  }
+  return out;
+}
+
+ImageF reference_gaussian_smooth(const ImageF& img, double sigma) {
+  const auto kernel = reference_gaussian_kernel(sigma);
+  ImageF out = reference_convolve_axis(img, kernel, 0);
+  out = reference_convolve_axis(out, kernel, 1);
+  out = reference_convolve_axis(out, kernel, 2);
+  return out;
+}
+
+bool bitwise_equal(const ImageF& a, const ImageF& b) {
+  return a.same_grid(b) &&
+         std::memcmp(a.data().data(), b.data().data(), a.size() * sizeof(float)) == 0;
+}
+
+// σ 0.7 is the phantom's own smoothing, which every golden test inherits;
+// 0.8 and 1.0 are the pipeline's; 2.0 has a radius of 6.
+constexpr double kReferenceSigmas[] = {0.7, 0.8, 1.0, 2.0};
+
+TEST(GaussianTest, BitIdenticalToPerVoxelLoopOnPhantom) {
+  phantom::PhantomConfig pc;
+  pc.dims = {37, 30, 23};
+  pc.spacing = {3.0, 3.0, 3.0};
+  const auto cas = phantom::make_case(pc, phantom::ShiftConfig{});
+  ImageF img = phantom::render_intensities(cas.preop_labels);
+  Rng rng(5);
+  add_rician_noise(img, 3.0, rng);
+  for (const double sigma : kReferenceSigmas) {
+    EXPECT_TRUE(bitwise_equal(gaussian_smooth(img, sigma),
+                              reference_gaussian_smooth(img, sigma)))
+        << "sigma " << sigma;
+  }
+}
+
+TEST(GaussianTest, BitIdenticalOnGridsSmallerThanTheKernel) {
+  // Every radius here reaches past some extent, so the replicate boundary
+  // repeats the edge voxel several times within one tap sweep.
+  Rng rng(6);
+  for (const IVec3 dims : {IVec3{1, 1, 1}, IVec3{2, 3, 5}, IVec3{7, 1, 4}}) {
+    ImageF img(dims);
+    for (auto& v : img.data()) v = static_cast<float>(rng.uniform(-50, 150));
+    for (const double sigma : kReferenceSigmas) {
+      EXPECT_TRUE(bitwise_equal(gaussian_smooth(img, sigma),
+                                reference_gaussian_smooth(img, sigma)))
+          << "dims " << dims << " sigma " << sigma;
+    }
+  }
 }
 
 TEST(GradientTest, LinearRampGivesConstantGradient) {

@@ -165,6 +165,23 @@ TEST(PipelineVariantsTest, RigidStageRecoversImposedOffset) {
   EXPECT_LT(report.recovered_error.mean_mm, 2.5);
 }
 
+TEST(PipelineVariantsTest, BoundaryBandIsNonEmptyAtCoarseVoxels) {
+  // At 3.5 mm no voxel centre lies within 3 mm of the brain surface, so a
+  // fixed 3 mm band would be empty and both boundary MADs would read exactly
+  // 0 (the mean over no voxels).
+  phantom::PhantomConfig pcfg;
+  pcfg.dims = {32, 32, 32};
+  pcfg.spacing = {3.5, 3.5, 3.5};
+  const auto cas = phantom::make_case(pcfg, phantom::ShiftConfig{});
+  PipelineConfig config = default_pipeline_config();
+  config.do_rigid_registration = false;
+  const auto result =
+      run_intraop_pipeline(cas.preop, cas.preop_labels, cas.intraop, config);
+  const auto report = evaluate_against_truth(result, cas);
+  EXPECT_GT(report.mad_boundary_rigid_only, 0.0);
+  EXPECT_GT(report.mad_boundary_simulated, 0.0);
+}
+
 TEST(PipelineVariantsTest, HeterogeneousMaterialsRun) {
   phantom::PhantomConfig pcfg;
   pcfg.dims = {40, 40, 40};

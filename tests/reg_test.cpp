@@ -1,8 +1,11 @@
 // Tests for mutual information and MI-based rigid registration.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "base/check.h"
 #include "base/rng.h"
@@ -233,6 +236,193 @@ TEST(RigidRegistrationTest, RankInvariantAtOneTwoFourRanks) {
             << " rank " << r;
       }
     }
+  }
+}
+
+// MiSampler::evaluate's per-sample loop before the moving grid's geometry was
+// hoisted and sample_trilinear's clamps dropped, kept verbatim (serial, over
+// every sampled fixed voxel) as the bit-exactness reference.
+double reference_mi(const ImageF& fixed, const ImageF& moving, const RigidTransform& transform,
+                    const MiConfig& config) {
+  const auto [flo, fhi] = intensity_range(fixed);
+  const auto [mlo, mhi] = intensity_range(moving);
+  JointHistogram hist(config.bins, flo, fhi, mlo, mhi);
+  const Mat3 R = transform.rotation_matrix();
+  const IVec3 d = fixed.dims();
+  const IVec3 md = moving.dims();
+  for (int k = 0; k < d.z; k += config.sample_stride) {
+    for (int j = 0; j < d.y; j += config.sample_stride) {
+      for (int i = 0; i < d.x; i += config.sample_stride) {
+        const Vec3 v = moving.physical_to_voxel(
+            transform.apply(R, fixed.voxel_to_physical(i, j, k)));
+        if (v.x < 0 || v.y < 0 || v.z < 0 || v.x > md.x - 1 || v.y > md.y - 1 ||
+            v.z > md.z - 1) {
+          continue;
+        }
+        hist.add_bins(hist.fixed_bin(static_cast<double>(fixed(i, j, k))),
+                      hist.moving_bin(sample_trilinear(moving, v)));
+      }
+    }
+  }
+  return hist.mutual_information();
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+TEST(MiSamplerTest, RankInvariantMatchesPerSampleLoopAtOneTwoThreeRanks) {
+  // Two moving images: the fixed one itself, whose 25 voxels per axis put
+  // identity samples exactly on the last voxel plane (the i1/j1/k1 edge
+  // rule), and one with its own dims, spacing and origin, so the hoisted
+  // geometry and strides differ on every axis. The random transforms push
+  // many samples out of the volume.
+  const ImageF fixed = structured_volume(25, 11);
+  ImageF odd_grid({27, 22, 25}, 0.0f, {1.1, 1.3, 0.9}, {-1.5, 2.0, 0.5});
+  Rng rng(12);
+  for (auto& v : odd_grid.data()) v = static_cast<float>(rng.uniform(-80, 120));
+  std::vector<RigidTransform> transforms(1);
+  for (int t = 0; t < 24; ++t) {
+    RigidTransform x;
+    x.center = {12.0, 12.0, 12.0};
+    x.translation = {rng.uniform(-12, 12), rng.uniform(-12, 12), rng.uniform(-12, 12)};
+    x.rotation = {rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)};
+    transforms.push_back(x);
+  }
+  const MiConfig cfg;
+  for (const ImageF* moving : {&fixed, static_cast<const ImageF*>(&odd_grid)}) {
+    const char* which = moving == &fixed ? "same grid" : "odd grid";
+    std::vector<double> expected;
+    for (const auto& t : transforms) expected.push_back(reference_mi(fixed, *moving, t, cfg));
+
+    const MiSampler serial(fixed, *moving, cfg);
+    for (std::size_t t = 0; t < transforms.size(); ++t) {
+      EXPECT_TRUE(same_bits(serial.evaluate(transforms[t]), expected[t]))
+          << which << " transform " << t;
+    }
+    for (const int nranks : {1, 2, 3}) {
+      std::vector<std::vector<double>> got(static_cast<std::size_t>(nranks));
+      par::run_spmd(nranks, [&](par::Communicator& comm) {
+        const MiSampler sampler(fixed, *moving, cfg, &comm);
+        for (const auto& t : transforms) {
+          got[static_cast<std::size_t>(comm.rank())].push_back(sampler.evaluate(t));
+        }
+      });
+      for (int r = 0; r < nranks; ++r) {
+        for (std::size_t t = 0; t < transforms.size(); ++t) {
+          EXPECT_TRUE(same_bits(got[static_cast<std::size_t>(r)][t], expected[t]))
+              << which << " nranks " << nranks << " rank " << r << " transform " << t;
+        }
+      }
+    }
+  }
+}
+
+// The Powell loop and line search before f(0) was passed in from the caller,
+// kept verbatim (MI metric only) as the reference for register_rigid_mi.
+struct ReferencePowell {
+  std::array<double, 6> params{};
+  std::vector<double> level_mi;
+  int evals = 0;
+  int line_searches = 0;
+};
+
+template <typename F>
+std::pair<double, double> reference_line_search_max(F&& f, double step) {
+  double t0 = -step, t1 = 0.0, t2 = step;
+  double f0 = f(t0), f1 = f(t1), f2 = f(t2);
+  int guard = 0;
+  while (guard++ < 12) {
+    if (f1 >= f0 && f1 >= f2) break;
+    if (f0 > f2) {
+      t2 = t1; f2 = f1;
+      t1 = t0; f1 = f0;
+      t0 = t1 - 2.0 * (t2 - t1);
+      f0 = f(t0);
+    } else {
+      t0 = t1; f0 = f1;
+      t1 = t2; f1 = f2;
+      t2 = t1 + 2.0 * (t1 - t0);
+      f2 = f(t2);
+    }
+  }
+  constexpr double kInvPhi = 0.6180339887498949;
+  double a = t0, b = t2;
+  double x1 = b - kInvPhi * (b - a);
+  double x2 = a + kInvPhi * (b - a);
+  double fx1 = f(x1), fx2 = f(x2);
+  for (int it = 0; it < 18 && (b - a) > 1e-6 + 1e-3 * step; ++it) {
+    if (fx1 >= fx2) {
+      b = x2;
+      x2 = x1; fx2 = fx1;
+      x1 = b - kInvPhi * (b - a);
+      fx1 = f(x1);
+    } else {
+      a = x1;
+      x1 = x2; fx1 = fx2;
+      x2 = a + kInvPhi * (b - a);
+      fx2 = f(x2);
+    }
+  }
+  return fx1 >= fx2 ? std::pair{x1, fx1} : std::pair{x2, fx2};
+}
+
+ReferencePowell reference_powell(const RegistrationPyramid& pyramid,
+                                 const RigidRegistrationConfig& config) {
+  const int levels = static_cast<int>(pyramid.fixed.size());
+  ReferencePowell out;
+  std::array<double, 6> params = RigidTransform{}.params();
+  for (int l = levels - 1; l >= 0; --l) {
+    const MiSampler sampler(pyramid.fixed[static_cast<std::size_t>(l)],
+                            pyramid.moving[static_cast<std::size_t>(l)], config.mi);
+    auto metric = [&](const std::array<double, 6>& p) {
+      ++out.evals;
+      return sampler.evaluate(RigidTransform::from_params(p, pyramid.center));
+    };
+    const double scale = std::pow(0.5, levels - 1 - l);
+    double best = metric(params);
+    for (int sweep = 0; sweep < config.powell_iterations; ++sweep) {
+      const double before = best;
+      for (int dim = 0; dim < 6; ++dim) {
+        const double step =
+            (dim < 3 ? config.initial_rot_step : config.initial_trans_step) * scale;
+        auto line = [&](double t) {
+          std::array<double, 6> p = params;
+          p[static_cast<std::size_t>(dim)] += t;
+          return metric(p);
+        };
+        ++out.line_searches;
+        const auto [t, value] = reference_line_search_max(line, step);
+        if (value > best) {
+          best = value;
+          params[static_cast<std::size_t>(dim)] += t;
+        }
+      }
+      if (best - before < config.tolerance) break;
+    }
+    out.level_mi.push_back(best);
+  }
+  out.params = params;
+  return out;
+}
+
+TEST(RigidRegistrationTest, PowellMatchesOldLoopWithOneEvaluationFewerPerLineSearch) {
+  // f(0) of every line search is the metric at the current params, which the
+  // loop already holds: passing it in leaves the path and every output bit
+  // unchanged and saves exactly one MI evaluation per line search.
+  for (const int n : {24, 28}) {
+    const auto cas = offset_case(n);
+    const RigidRegistrationConfig rcfg;
+    const RegistrationPyramid pyramid =
+        build_registration_pyramid(cas.intraop, cas.preop, rcfg);
+    const ReferencePowell ref = reference_powell(pyramid, rcfg);
+    const RigidRegistrationResult got = register_rigid_mi(pyramid, rcfg);
+    const auto params = got.transform.params();
+    EXPECT_EQ(std::memcmp(params.data(), ref.params.data(), sizeof(params)), 0) << "n " << n;
+    ASSERT_EQ(got.level_mi.size(), ref.level_mi.size());
+    for (std::size_t l = 0; l < ref.level_mi.size(); ++l) {
+      EXPECT_TRUE(same_bits(got.level_mi[l], ref.level_mi[l])) << "n " << n << " level " << l;
+    }
+    EXPECT_GT(ref.line_searches, 0);
+    EXPECT_EQ(got.metric_evaluations, ref.evals - ref.line_searches) << "n " << n;
   }
 }
 
