@@ -10,7 +10,6 @@
 // on displacement residual; some interior misregistration remains (the paper
 // reports the same, attributing it to the homogeneous material model).
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 
 #include "core/evaluation.h"
@@ -18,15 +17,8 @@
 #include "core/pipeline.h"
 #include "phantom/brain_phantom.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace neuro;
-
-  // --bsr switches the FEM solve onto the block-CSR backend (docs/perf.md);
-  // default output stays byte-comparable against the scalar reference runs.
-  bool use_bsr = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--bsr") == 0) use_bsr = true;
-  }
 
   std::printf("== Fig. 4: accuracy of the simulated deformation ==\n");
   phantom::PhantomConfig pcfg;
@@ -41,10 +33,6 @@ int main(int argc, char** argv) {
   config.do_rigid_registration = false;  // same scanner frame, as in Fig. 4
   config.mesher.stride = 3;
   config.fem.nranks = 2;
-  if (use_bsr) {
-    std::printf("backend: block-CSR (overlapped halo exchange)\n");
-    config.fem.backend = fem::MatrixBackend::kBsr;
-  }
   const core::PipelineResult result =
       core::run_intraop_pipeline(cas.preop, cas.preop_labels, cas.intraop, config);
   NEURO_CHECK(result.fem.stats.converged);

@@ -25,7 +25,6 @@
 #include "reg/mutual_information.h"
 #include "reg/rigid_registration.h"
 #include "seg/intraop.h"
-#include "solver/bsr_matrix.h"
 #include "solver/krylov.h"
 #include "surface/active_surface.h"
 
@@ -254,84 +253,6 @@ void BM_SpMV(benchmark::State& state) {
                         16.0 * fixture.system.A.local_rows()));
 }
 BENCHMARK(BM_SpMV)->Unit(benchmark::kMillisecond);
-
-// Block-CSR counterpart of BM_SpMV on the same assembled system: one column
-// index per 3x3 block and register-blocked rows. The perf-smoke CI job tracks
-// the bytes_per_second ratio of the two (expected well above 1.5x).
-void BM_BsrSpMV(benchmark::State& state) {
-  static SolveFixture fixture;
-  static const solver::DistBsrMatrix bsr =
-      solver::DistBsrMatrix::from_csr(fixture.system.A);
-  par::run_spmd(1, [&](par::Communicator& comm) {
-    solver::DistVector x(fixture.system.b.global_size(), fixture.system.b.range(), 1.0);
-    solver::DistVector y(fixture.system.b.global_size(), fixture.system.b.range());
-    for (auto _ : state) {
-      bsr.apply(x, y, comm);
-      benchmark::DoNotOptimize(y.local().data());
-    }
-  });
-  state.SetItemsProcessed(state.iterations() * static_cast<long>(bsr.local_nnz()));
-  state.SetBytesProcessed(
-      state.iterations() *
-      static_cast<long>(76.0 * static_cast<double>(bsr.local_blocks()) +
-                        16.0 * bsr.local_rows()));
-}
-BENCHMARK(BM_BsrSpMV)->Unit(benchmark::kMillisecond);
-
-// Collectives per GMRES iteration, measured from the runtime's own work
-// records on a 2-rank partitioned solve. Modified Gram-Schmidt pays j+2
-// allreduces in iteration j (O(m^2) per restart cycle); classical pays a
-// flat 1 (plus the occasional cancellation-guard norm), O(m) per cycle. The
-// perf-smoke CI job records both counters into BENCH_solver.json.
-void BM_GmresAllreduces(benchmark::State& state) {
-  const bool classical = state.range(0) != 0;
-  const auto& mesh = shared_mesh();
-  const fem::MeshTopology topo = fem::MeshTopology::build(mesh);
-  const auto materials = fem::MaterialMap::homogeneous_brain();
-  constexpr int kRanks = 2;
-  const auto part = mesh::partition_node_balanced(mesh.num_nodes(), kRanks);
-  const auto surface = mesh::extract_boundary_surface(mesh, {3, 4, 5, 6});
-  std::vector<std::pair<mesh::NodeId, Vec3>> bc_nodes;
-  for (const auto n : surface.mesh_nodes) {
-    bc_nodes.emplace_back(n, Vec3{0.5, 0.0, -0.5});
-  }
-  const auto bc = fem::DirichletSet::from_node_displacements(bc_nodes);
-
-  double rounds = 0.0;
-  int iterations = 0;
-  for (auto _ : state) {
-    par::run_spmd(kRanks, [&](par::Communicator& comm) {
-      fem::LocalSystem sys =
-          fem::assemble_elasticity(mesh, topo, materials, part, {}, comm);
-      fem::apply_dirichlet(sys, bc, comm);
-      sys.A.drop_zeros();
-      sys.A.setup_ghosts(comm);
-      const auto M = solver::make_preconditioner(
-          solver::PreconditionerKind::kBlockJacobiIlu0, sys.A, comm, 1);
-      solver::DistVector x(sys.b.global_size(), sys.b.range());
-      solver::SolverConfig cfg;
-      cfg.gmres_orthogonalization = classical
-                                        ? solver::GramSchmidtKind::kClassical
-                                        : solver::GramSchmidtKind::kModified;
-      comm.work().take();  // isolate the solve's collectives
-      const auto stats = solver::gmres(sys.A, sys.b, x, *M, cfg, comm);
-      const par::WorkRecord w = comm.work().take();
-      if (comm.rank() == 0) {
-        rounds = w.coll_rounds;
-        iterations = stats.iterations;
-      }
-    });
-    benchmark::DoNotOptimize(rounds);
-  }
-  state.counters["allreduces_per_iter"] =
-      rounds / static_cast<double>(std::max(1, iterations));
-  state.counters["iterations"] = iterations;
-}
-BENCHMARK(BM_GmresAllreduces)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("cgs")
-    ->Unit(benchmark::kMillisecond);
 
 void BM_Ilu0Apply(benchmark::State& state) {
   static SolveFixture fixture;

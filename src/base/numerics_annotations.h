@@ -1,7 +1,7 @@
 // Numerical-determinism contract annotations (docs/static_analysis.md,
 // "Determinism contracts and error discipline").
 //
-// Every correctness claim the repo makes — Fig. 4 accuracy, backend
+// Every correctness claim the repo makes — Fig. 4 accuracy, rank-count
 // equivalence, fallback-rung determinism — rests on bit-identical replay.
 // tools/lint/check_numerics.py statically rejects the constructs that break
 // it (unordered-container iteration feeding floating-point accumulation,

@@ -201,7 +201,12 @@ double PipelineResult::stage_seconds(const std::string& name) const {
   return 0.0;
 }
 
-base::Status check_finite_scan(const ImageF& scan, std::string_view what) {
+base::Status check_scan(const ImageF& scan, std::string_view what) {
+  if (scan.empty()) {
+    std::ostringstream oss;
+    oss << what << " scan is empty (no voxels)";
+    return {base::StatusCode::kFailedPrecondition, oss.str()};
+  }
   const auto bad = std::find_if(scan.data().begin(), scan.data().end(),
                                 [](float v) { return !std::isfinite(v); });
   if (bad == scan.data().end()) return {};
@@ -297,14 +302,14 @@ PipelineResult run_intraop_pipeline(const ImageF& preop, const ImageL& preop_lab
                                     const std::vector<seg::Prototype>* reuse_prototypes,
                                     const std::vector<Vec3>* last_good,
                                     std::shared_ptr<const PreopModel>* preop_model) {
+  for (const base::Status& valid :
+       {check_scan(preop, "preop"), check_scan(intraop, "intraop")}) {
+    if (!valid.ok()) throw base::StatusError(valid);
+  }
   NEURO_REQUIRE(preop.dims() == preop_labels.dims(),
                 "pipeline: preop image/labels dims mismatch");
   NEURO_REQUIRE(!config.brain_labels.empty(), "pipeline: brain_labels unset — "
                                               "start from default_pipeline_config()");
-  for (const base::Status& finite :
-       {check_finite_scan(preop, "preop"), check_finite_scan(intraop, "intraop")}) {
-    if (!finite.ok()) throw base::StatusError(finite);
-  }
   PipelineResult result;
   const base::DeadlineBudget budget(config.deadline_seconds);
   // The Fig. 6 StageTiming rows are views over these root spans: each stage's

@@ -158,10 +158,11 @@ struct PipelineResult {
   [[nodiscard]] double stage_seconds(const std::string& name) const;
 };
 
-/// kFailedPrecondition naming the first NaN or infinite voxel of `scan`
-/// (`what` names the scan in the message); OK when every voxel is finite.
-/// Classification and the solve are only defined on finite intensities.
-[[nodiscard]] base::Status check_finite_scan(const ImageF& scan, std::string_view what);
+/// kFailedPrecondition when `scan` has no voxels, or naming its first NaN or
+/// infinite voxel (`what` names the scan in the message); OK otherwise.
+/// Classification and the solve are only defined on a non-empty grid of
+/// finite intensities.
+[[nodiscard]] base::Status check_scan(const ImageF& scan, std::string_view what);
 
 /// The fields of the visualization resample (the paper's ~0.5 s step).
 struct ResampledFields {
@@ -187,8 +188,8 @@ ResampledFields resample_for_display(const mesh::TetMesh& mesh,
 /// paper's automatic model update for follow-up acquisitions). `last_good`
 /// (one Vec3 per mesh node, typically the previous scan's validated field)
 /// arms the ladder's final rung. Throws base::StatusError with
-/// kFailedPrecondition, before any work, when `preop` or `intraop` holds a
-/// NaN or infinite voxel (check_finite_scan), and otherwise only when every
+/// kFailedPrecondition, before any work, when `preop` or `intraop` is empty
+/// or holds a NaN or infinite voxel (check_scan), and otherwise only when every
 /// ladder rung failed — no usable field exists at all.
 ///
 /// `preop_model`, when non-null, carries the case model between scans: on

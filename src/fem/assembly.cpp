@@ -1,7 +1,6 @@
 #include "fem/assembly.h"
 
 #include <algorithm>
-#include <cstdint>
 
 #include "base/check.h"
 #include "fem/dof.h"
@@ -117,101 +116,6 @@ LocalSystem assemble_elasticity(const mesh::TetMesh& mesh, const MeshTopology& t
   return LocalSystem{
       solver::DistCsrMatrix(num_dofs, dof_range, std::move(row_ptr), std::move(cols),
                             std::move(values)),
-      std::move(b)};
-}
-
-LocalBsrSystem assemble_elasticity_bsr(const mesh::TetMesh& mesh,
-                                       const MeshTopology& topo,
-                                       const MaterialMap& materials,
-                                       const mesh::Partition& partition,
-                                       const Vec3& body_force,
-                                       par::Communicator& comm) {
-  const base::IdRange<mesh::NodeId> owned = partition.ranges[comm.rank_id()];
-  const auto [nb, ne] = owned;
-  const int num_dofs = kDofsPerNode * mesh.num_nodes();
-  const solver::RowRange dof_range = row_range_of(owned);
-
-  // --- Block sparsity: one 3x3 block per (owned node, adjacent node). ---
-  std::vector<std::int32_t> block_row_ptr(static_cast<std::size_t>(owned.size()) + 1, 0);
-  std::size_t nblocks = 0;
-  for (mesh::NodeId n = nb; n < ne; ++n) {
-    nblocks += topo.node_adj[n].size();
-    block_row_ptr[static_cast<std::size_t>(n - nb) + 1] = static_cast<std::int32_t>(nblocks);
-  }
-  std::vector<solver::GlobalBlockRow> block_cols(nblocks);
-  {
-    std::size_t p = 0;
-    for (mesh::NodeId n = nb; n < ne; ++n) {
-      for (const mesh::NodeId m : topo.node_adj[n]) {
-        block_cols[p++] = solver::GlobalBlockRow{m.value()};
-      }
-    }
-  }
-  std::vector<double> values(nblocks * 9, 0.0);
-
-  auto col_slot = [&](mesh::NodeId n, mesh::NodeId m) {
-    const auto& adj = topo.node_adj[n];
-    const auto it = std::lower_bound(adj.begin(), adj.end(), m);
-    NEURO_REQUIRE(it != adj.end() && *it == m,
-                  "assemble_elasticity_bsr: tet neighbour missing from adjacency");
-    return static_cast<int>(it - adj.begin());
-  };
-
-  solver::DistVector b(num_dofs, dof_range, 0.0);
-
-  // --- Element loop: identical traversal and accumulation order to the
-  // scalar assembly, so every block value matches it bit for bit. ---
-  std::vector<mesh::TetId> local_tets;
-  for (mesh::NodeId n = nb; n < ne; ++n) {
-    local_tets.insert(local_tets.end(), topo.node_tets[n].begin(),
-                      topo.node_tets[n].end());
-  }
-  std::sort(local_tets.begin(), local_tets.end());
-  local_tets.erase(std::unique(local_tets.begin(), local_tets.end()), local_tets.end());
-
-  const bool has_body_force = norm2(body_force) > 0.0;
-  for (const mesh::TetId t : local_tets) {
-    const auto& tet = mesh.tets[t];
-    const TetElement elem = TetElement::from_vertices(
-        mesh.nodes[tet[0]], mesh.nodes[tet[1]], mesh.nodes[tet[2]],
-        mesh.nodes[tet[3]]);
-    const auto D = elasticity_matrix(materials.for_label(mesh.tet_labels[t]));
-    const auto Ke = elem.stiffness(D);
-
-    for (int a = 0; a < 4; ++a) {
-      const mesh::NodeId n = tet[static_cast<std::size_t>(a)];
-      if (!owned.contains(n)) continue;
-      for (int bnode = 0; bnode < 4; ++bnode) {
-        const mesh::NodeId m = tet[static_cast<std::size_t>(bnode)];
-        const std::size_t block =
-            static_cast<std::size_t>(block_row_ptr[static_cast<std::size_t>(n - nb)]) +
-            static_cast<std::size_t>(col_slot(n, m));
-        for (int ca = 0; ca < 3; ++ca) {
-          for (int cb = 0; cb < 3; ++cb) {
-            values[block * 9 + static_cast<std::size_t>(3 * ca + cb)] +=
-                Ke[static_cast<std::size_t>(12 * (3 * a + ca) + (3 * bnode + cb))];
-          }
-        }
-      }
-      if (has_body_force) {
-        const auto load = elem.body_force_load(body_force);
-        for (int ca = 0; ca < 3; ++ca) {
-          b[row_of(dof_of(n, ca))] += load[static_cast<std::size_t>(3 * a + ca)];
-        }
-      }
-    }
-  }
-
-  // Same stiffness flops as the scalar assembly; scatter traffic is one
-  // 4-byte index per 9 values instead of one per value.
-  comm.work().add_flops(static_cast<double>(local_tets.size()) *
-                        (TetElement::kStiffnessFlops + 2.0 * 144.0));
-  comm.work().add_mem_bytes(static_cast<double>(nblocks) * 76.0 +
-                            static_cast<double>(local_tets.size()) * 144.0 * 16.0);
-
-  return LocalBsrSystem{
-      solver::DistBsrMatrix(num_dofs, dof_range, std::move(block_row_ptr),
-                            std::move(block_cols), std::move(values)),
       std::move(b)};
 }
 

@@ -19,7 +19,6 @@
 #include "mesh/partition.h"
 #include "mesh/tet_mesh.h"
 #include "par/communicator.h"
-#include "solver/bsr_matrix.h"
 #include "solver/dist_matrix.h"
 #include "solver/dist_vector.h"
 
@@ -41,16 +40,6 @@ struct LocalSystem {
   solver::DistVector b;
 };
 
-/// One rank's piece of the assembled system in 3x3 block form (the fast
-/// backend). The node adjacency IS the block sparsity, so the blocked matrix
-/// assembles natively — no scalar detour — and its block values are
-/// bit-identical to the scalar assembly (same element loop, same per-entry
-/// accumulation order).
-struct LocalBsrSystem {
-  solver::DistBsrMatrix A;
-  solver::DistVector b;
-};
-
 /// Assembles the rank's rows of K u = f for linear elasticity with per-tet
 /// materials and an optional constant body force. Collective only in the
 /// trivial sense (no messages; every rank works on its own rows).
@@ -58,12 +47,5 @@ struct LocalBsrSystem {
                                 const MaterialMap& materials,
                                 const mesh::Partition& partition,
                                 const Vec3& body_force, par::Communicator& comm);
-
-/// Block-CSR variant of assemble_elasticity: one 3x3 block per node-adjacency
-/// edge, scattered straight from the element stiffness.
-[[nodiscard]] LocalBsrSystem assemble_elasticity_bsr(
-    const mesh::TetMesh& mesh, const MeshTopology& topo,
-    const MaterialMap& materials, const mesh::Partition& partition,
-    const Vec3& body_force, par::Communicator& comm);
 
 }  // namespace neuro::fem

@@ -1,7 +1,6 @@
 #include "fem/boundary.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <numeric>
 
 #include "base/check.h"
@@ -110,42 +109,6 @@ void apply_dirichlet(LocalSystem& system, const DirichletSet& bc,
   // The scan itself is the (small) BC cost; what matters for scaling is that
   // ranks owning many fixed rows end up with trivial identity rows — less
   // solve work — which is the imbalance the paper reports.
-  comm.work().add_mem_bytes(static_cast<double>(A.local_nnz()) * 12.0);
-  comm.work().add_flops(static_cast<double>(A.local_nnz()) * 0.5);
-}
-
-void apply_dirichlet(LocalBsrSystem& system, const DirichletSet& bc,
-                     par::Communicator& comm) {
-  auto& A = system.A;
-  auto& b = system.b;
-  const solver::GlobalRow rb = A.range().first;
-  const auto& row_ptr = A.block_row_ptr();
-  const auto& bcols = A.block_cols();
-  auto& values = A.values();
-
-  for (int br = 0; br < A.local_block_rows(); ++br) {
-    const solver::LocalBlockRow lbr{br};
-    for (int ca = 0; ca < solver::DistBsrMatrix::kBlock; ++ca) {
-      const solver::GlobalRow row = rb + (3 * br + ca);
-      const bool row_fixed = bc.contains(dof_of_row(row));
-      for (std::int32_t p = row_ptr[lbr]; p < row_ptr[lbr + 1]; ++p) {
-        const int cbase = bcols[static_cast<std::size_t>(p)].value() * 3;
-        for (int cb = 0; cb < solver::DistBsrMatrix::kBlock; ++cb) {
-          double& v = values[static_cast<std::size_t>(p) * 9U +
-                             static_cast<std::size_t>(3 * ca + cb)];
-          const solver::GlobalRow c{cbase + cb};
-          if (row_fixed) {
-            v = c == row ? 1.0 : 0.0;
-          } else if (c != row && bc.contains(dof_of_row(c))) {
-            b[row] -= v * bc.value_of(dof_of_row(c));
-            v = 0.0;
-          }
-        }
-      }
-      if (row_fixed) b[row] = bc.value_of(dof_of_row(row));
-    }
-  }
-
   comm.work().add_mem_bytes(static_cast<double>(A.local_nnz()) * 12.0);
   comm.work().add_flops(static_cast<double>(A.local_nnz()) * 0.5);
 }

@@ -53,11 +53,4 @@ class DirichletSet {
 void apply_dirichlet(LocalSystem& system, const DirichletSet& bc,
                      par::Communicator& comm);
 
-/// Block-CSR overload: identical substitution semantics and, per scalar row,
-/// identical column traversal order (blocks are column-sorted and scalar
-/// columns ascend within a block), so the modified values and right-hand side
-/// match the scalar path bit for bit.
-void apply_dirichlet(LocalBsrSystem& system, const DirichletSet& bc,
-                     par::Communicator& comm);
-
 }  // namespace neuro::fem

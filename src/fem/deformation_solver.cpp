@@ -1,7 +1,6 @@
 #include "fem/deformation_solver.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "base/check.h"
 #include "obs/trace.h"
@@ -74,39 +73,15 @@ DeformationResult solve_deformation(
     // --- Assemble ---
     comm.barrier();
     obs::Span phase = obs::timed_span("fem.assemble");
-    // Both backends carry the same pipeline; exactly one is engaged. The BSR
-    // system assembles natively (no scalar detour) with bit-identical values.
-    const bool use_bsr = options.backend == MatrixBackend::kBsr;
-    std::optional<LocalSystem> csr;
-    std::optional<LocalBsrSystem> bsr;
-    if (use_bsr) {
-      bsr.emplace(assemble_elasticity_bsr(mesh, topo, materials, partition,
-                                          options.body_force, comm));
-    } else {
-      csr.emplace(assemble_elasticity(mesh, topo, materials, partition,
-                                      options.body_force, comm));
-    }
-    solver::DistVector& rhs = use_bsr ? bsr->b : csr->b;
-    // Concentrated nodal forces (paper Eq. 1's third load type).
-    const base::IdRange<mesh::NodeId> owned = partition.ranges[comm.rank_id()];
-    for (const auto& [node, f] : options.nodal_loads) {
-      if (owned.contains(node)) {
-        rhs[row_of(dof_of(node, 0))] += f.x;
-        rhs[row_of(dof_of(node, 1))] += f.y;
-        rhs[row_of(dof_of(node, 2))] += f.z;
-      }
-    }
+    LocalSystem system = assemble_elasticity(mesh, topo, materials, partition,
+                                             options.body_force, comm);
     comm.barrier();
     assemble_s[r] = phase.close();
     assemble_work[r] = comm.work().take();
 
     // --- Boundary conditions ---
     phase = obs::timed_span("fem.bc");
-    if (use_bsr) {
-      apply_dirichlet(*bsr, bc, comm);
-    } else {
-      apply_dirichlet(*csr, bc, comm);
-    }
+    apply_dirichlet(system, bc, comm);
     comm.barrier();
     bc_s[r] = phase.close();
     bc_work[r] = comm.work().take();
@@ -115,16 +90,10 @@ DeformationResult solve_deformation(
     phase = obs::timed_span("fem.solve");
     // Shrink to the true unknown set (paper's BC path), then build the ghost
     // exchange plan.
-    if (use_bsr) {
-      bsr->A.drop_zero_blocks();
-      bsr->A.setup_ghosts(comm);
-    } else {
-      csr->A.drop_zeros();
-      csr->A.setup_ghosts(comm);
-    }
-    const solver::LinearOperator& A =
-        use_bsr ? static_cast<const solver::LinearOperator&>(bsr->A)
-                : static_cast<const solver::LinearOperator&>(csr->A);
+    solver::DistCsrMatrix& A = system.A;
+    const solver::DistVector& rhs = system.b;
+    A.drop_zeros();
+    A.setup_ghosts(comm);
     const auto precond = solver::make_preconditioner(options.preconditioner, A,
                                                      comm, options.schwarz_overlap);
     solver::DistVector x(rhs.global_size(), rhs.range(), 0.0);
@@ -149,7 +118,7 @@ DeformationResult solve_deformation(
     solve_work[r] = comm.work().take();
 
     // --- Collect the displacement field (disjoint slabs, no locking). ---
-    for (const mesh::NodeId n : owned) {
+    for (const mesh::NodeId n : partition.ranges[comm.rank_id()]) {
       displacements[n.index()] = {x[row_of(dof_of(n, 0))],
                                   x[row_of(dof_of(n, 1))],
                                   x[row_of(dof_of(n, 2))]};

@@ -1,10 +1,11 @@
 // High-level driver: the paper's "biomechanical simulation of volumetric
 // brain deformation" step. Given the tetrahedral mesh, a material map and
-// prescribed surface displacements, it partitions the mesh, runs the SPMD
-// assemble → boundary-condition → Krylov-solve sequence on the requested
-// number of ranks, and returns the volumetric displacement field together
-// with per-phase, per-rank work records (the input to the scaling model) and
-// measured wall-clock per phase.
+// prescribed surface displacements (plus an optional body force; those are
+// the only loads), it partitions the mesh, runs the SPMD assemble →
+// boundary-condition → Krylov-solve sequence on one scalar CSR operator (the
+// paper's configuration) on the requested number of ranks, and returns the
+// volumetric displacement field together with per-phase, per-rank work
+// records (the input to the scaling model) and measured wall-clock per phase.
 #pragma once
 
 #include <utility>
@@ -21,12 +22,6 @@
 namespace neuro::fem {
 
 enum class KrylovKind { kGmres, kCg, kBicgstab };
-/// Which assembled operator carries the system through the solve. Both give
-/// the same field to solver tolerance.
-enum class MatrixBackend {
-  kCsrReference,  ///< scalar CSR: the paper's configuration, bitwise reference
-  kBsr,           ///< 3x3 block CSR with overlapped halo exchange
-};
 enum class PartitionKind {
   kNodeBalanced,          ///< the paper's: equal node counts
   kConnectivityBalanced,  ///< future-work: balance assembly work
@@ -40,7 +35,6 @@ struct DeformationSolveOptions {
       solver::PreconditionerKind::kBlockJacobiIlu0;
   int schwarz_overlap = 1;  ///< used by kAdditiveSchwarzIlu0 only
   KrylovKind krylov = KrylovKind::kGmres;  ///< the paper's solver
-  MatrixBackend backend = MatrixBackend::kCsrReference;
   solver::SolverConfig solver;
   Vec3 body_force{};  ///< optional gravity-style load
 
@@ -48,10 +42,6 @@ struct DeformationSolveOptions {
   /// inactive by default. Tests and benches use this to exercise the
   /// degradation ladder deterministically.
   par::FaultConfig fault_injection;
-
-  /// Concentrated nodal forces (e.g. from fem::traction_loads /
-  /// fem::pressure_loads), added to the right-hand side after assembly.
-  std::vector<std::pair<mesh::NodeId, Vec3>> nodal_loads;
 };
 
 struct DeformationResult {

@@ -151,8 +151,8 @@ SessionServer::~SessionServer() { shutdown(); }
 
 SessionId SessionServer::open_session(ImageF preop, ImageL preop_labels,
                                       core::PipelineConfig config) {
-  base::Status finite = core::check_finite_scan(preop, "preop");
-  if (!finite.ok()) throw base::StatusError(std::move(finite));
+  base::Status valid = core::check_scan(preop, "preop");
+  if (!valid.ok()) throw base::StatusError(std::move(valid));
   auto state = std::make_unique<SessionState>();
   state->preop = std::move(preop);
   state->labels = std::move(preop_labels);
@@ -205,8 +205,18 @@ base::Outcome<RequestTicket> SessionServer::submit(
     oss << "SessionServer: unknown session " << session.value();
     return reject({base::StatusCode::kFailedPrecondition, oss.str()});
   }
-  base::Status finite = core::check_finite_scan(intraop, "intraop");
-  if (!finite.ok()) return reject(std::move(finite), &ServerStats::rejected_invalid_scan);
+  base::Status valid = core::check_scan(intraop, "intraop");
+  if (valid.ok()) {
+    base::MutexLock lock(state_mutex_);
+    const auto [dims, first] = scan_dims_.try_emplace(session, intraop.dims());
+    if (!first && dims->second != intraop.dims()) {
+      std::ostringstream oss;
+      oss << "intraop scan dims " << intraop.dims()
+          << " differ from the session's scan dims " << dims->second;
+      valid = {base::StatusCode::kFailedPrecondition, oss.str()};
+    }
+  }
+  if (!valid.ok()) return reject(std::move(valid), &ServerStats::rejected_invalid_scan);
 
   const double deadline_seconds = request_options.deadline_seconds < 0.0
                                       ? options_.default_deadline_seconds

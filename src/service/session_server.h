@@ -140,7 +140,9 @@ struct ServerStats {
   std::int64_t rejected_deadline = 0;
   std::int64_t rejected_unknown_session = 0;
   std::int64_t rejected_draining = 0;
-  std::int64_t rejected_invalid_scan = 0;  ///< a NaN or infinite voxel
+  /// an empty scan, a NaN or infinite voxel, or dims that differ from the
+  /// session's first well-formed scan
+  std::int64_t rejected_invalid_scan = 0;
   std::int64_t completed = 0;  ///< admitted requests that reached a report
   std::int64_t usable = 0;     ///< completed with a usable field
   std::int64_t degraded = 0;   ///< usable but from a fallback rung
@@ -217,7 +219,8 @@ class SessionServer {
 
   /// Registers a case: the preoperative data and the pipeline config every
   /// scan of this session will run with. Throws base::StatusError
-  /// (kFailedPrecondition) when `preop` holds a NaN or infinite voxel.
+  /// (kFailedPrecondition) when `preop` is empty or holds a NaN or infinite
+  /// voxel.
   [[nodiscard]] SessionId open_session(ImageF preop, ImageL preop_labels,
                                        core::PipelineConfig config)
       NEURO_EXCLUDES(state_mutex_);
@@ -234,7 +237,9 @@ class SessionServer {
 
   /// Admission control + enqueue. Returns a ticket to wait() on, or a typed
   /// rejection: kUnavailable (draining/shut down), kFailedPrecondition
-  /// (unknown session, or a NaN or infinite voxel in `intraop`),
+  /// (unknown session; or an invalid scan: `intraop` is empty, holds a NaN
+  /// or infinite voxel, or its dims differ from the session's first
+  /// well-formed scan),
   /// kDeadlineExceeded (predicted cost exceeds the budget),
   /// kResourceExhausted (queue full).
   [[nodiscard]] base::Outcome<RequestTicket> submit(SessionId session,
@@ -327,6 +332,10 @@ class SessionServer {
   std::map<SessionId, std::unique_ptr<SessionState>> sessions_
       NEURO_GUARDED_BY(state_mutex_);
   std::map<RequestId, CompletionSlot> slots_ NEURO_GUARDED_BY(state_mutex_);
+  /// Dims of each session's first well-formed scan. The session records its
+  /// prototype locations and its last good field on that grid, so every
+  /// later scan must share it.
+  std::map<SessionId, IVec3> scan_dims_ NEURO_GUARDED_BY(state_mutex_);
   ServerStats stats_ NEURO_GUARDED_BY(state_mutex_);
   // Telemetry state: rolling time-to-field windows (server-wide and per
   // session), admission-time queue-depth history, and the consecutive

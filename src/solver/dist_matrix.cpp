@@ -125,8 +125,8 @@ void DistCsrMatrix::setup_ghosts(par::Communicator& comm) {
   ghosts_ready_ = true;
 }
 
-// Reference scalar SpMV: the association order here is the contract the BSR
-// backend reproduces (bit-identical y for identical x across backends).
+// Scalar SpMV. Each row sums its entries in stored (ascending column) order,
+// so y is bit-identical at every rank count.
 NEURO_BITEXACT
 void DistCsrMatrix::apply(const DistVector& x, DistVector& y,
                           par::Communicator& comm) const {

@@ -5,7 +5,8 @@
 // (3 dof per node). Matrix-vector products exchange only the "ghost" vector
 // entries each rank actually references, set up once and reused every
 // iteration — the communication pattern whose cost the paper's solve-phase
-// scaling reflects.
+// scaling reflects. This is the one operator the Krylov solvers and the
+// preconditioners take (PETSc's AIJ, the paper's configuration).
 #pragma once
 
 #include <utility>
@@ -14,11 +15,10 @@
 #include "base/strong_id.h"
 #include "par/communicator.h"
 #include "solver/dist_vector.h"
-#include "solver/operator.h"
 
 namespace neuro::solver {
 
-class DistCsrMatrix : public LinearOperator {
+class DistCsrMatrix {
  public:
   /// Builds the local row block from CSR arrays with *global* column indices.
   /// `row_ptr` has (range.size() + 1) entries. The int arrays are the CSR
@@ -26,8 +26,10 @@ class DistCsrMatrix : public LinearOperator {
   DistCsrMatrix(int global_size, RowRange range, std::vector<int> row_ptr,
                 std::vector<int> cols, std::vector<double> values);
 
-  [[nodiscard]] int global_size() const override { return global_size_; }
-  [[nodiscard]] RowRange range() const override { return range_; }
+  /// Number of rows (== columns) of the global square system.
+  [[nodiscard]] int global_size() const { return global_size_; }
+  /// The contiguous block of rows this rank owns.
+  [[nodiscard]] RowRange range() const { return range_; }
   [[nodiscard]] int local_rows() const { return range_.size(); }
   [[nodiscard]] std::size_t local_nnz() const { return values_.size(); }
 
@@ -45,13 +47,11 @@ class DistCsrMatrix : public LinearOperator {
   void setup_ghosts(par::Communicator& comm);
 
   /// y = A x (collective). x and y must share this matrix's row layout.
-  void apply(const DistVector& x, DistVector& y,
-             par::Communicator& comm) const override;
+  void apply(const DistVector& x, DistVector& y, par::Communicator& comm) const;
 
   /// Value at (global_row, global_col); row must be owned. Zero if absent.
   /// Columns of the square system live in the same GlobalRow space as rows.
-  [[nodiscard]] double value_at(GlobalRow global_row,
-                                GlobalRow global_col) const override;
+  [[nodiscard]] double value_at(GlobalRow global_row, GlobalRow global_col) const;
 
   /// Mutable access used by boundary-condition substitution. Row is owned.
   /// Returns nullptr when the entry is not in the sparsity pattern.
@@ -64,18 +64,11 @@ class DistCsrMatrix : public LinearOperator {
   [[nodiscard]] const std::vector<double>& values() const { return values_; }
   [[nodiscard]] std::vector<double>& values() { return values_; }
 
-  /// The diagonal block (columns within the owned range) as a dense-indexable
-  /// CSR triple — used by block-Jacobi/ILU(0) and SSOR preconditioners.
-  struct LocalBlockView {
-    const std::vector<int>* row_ptr;
-    const std::vector<int>* cols;       ///< *local* column indices
-    const std::vector<double>* values;
-    int rows;
-  };
-
-  /// Extracts a copy of the diagonal block with local column indices.
+  /// Extracts a copy of the diagonal block (columns within the owned range)
+  /// with local column indices — the input format of the local
+  /// ILU(0)/IC(0)/SSOR preconditioners.
   void extract_diagonal_block(std::vector<int>& row_ptr, std::vector<int>& cols,
-                              std::vector<double>& values) const override;
+                              std::vector<double>& values) const;
 
  private:
   int global_size_;

@@ -126,7 +126,7 @@ void note_watchdog_fire(const char* solver, StopReason stop, double residual,
 
 }  // namespace
 
-double true_residual_norm(const LinearOperator& A, const DistVector& b,
+double true_residual_norm(const DistCsrMatrix& A, const DistVector& b,
                           const DistVector& x, par::Communicator& comm) {
   DistVector r = like(b);
   A.apply(x, r, comm);
@@ -135,7 +135,7 @@ double true_residual_norm(const LinearOperator& A, const DistVector& b,
   return r.norm2(comm);
 }
 
-SolveStats gmres(const LinearOperator& A, const DistVector& b, DistVector& x,
+SolveStats gmres(const DistCsrMatrix& A, const DistVector& b, DistVector& x,
                  const Preconditioner& M, const SolverConfig& config,
                  par::Communicator& comm) {
   NEURO_REQUIRE(config.gmres_restart >= 1, "gmres: restart must be >= 1");
@@ -180,8 +180,8 @@ SolveStats gmres(const LinearOperator& A, const DistVector& b, DistVector& x,
     for (; j < m && stats.iterations < config.max_iterations; ++j) {
       // Per-iteration telemetry: the span covers the full Arnoldi step and
       // carries the residual plus the allreduce count actually spent on it
-      // (WorkCounter delta), making the MGS-vs-CGS collective budget visible
-      // per iteration in the trace.
+      // (WorkCounter delta): j+2 at step j under modified Gram–Schmidt, so
+      // the O(m²) collective budget per restart cycle shows in the trace.
       obs::Span iter_span = obs::global_span("gmres.iteration");
       const double rounds_before =
           iter_span.active() ? comm.work().current().coll_rounds : 0.0;
@@ -192,60 +192,14 @@ SolveStats gmres(const LinearOperator& A, const DistVector& b, DistVector& x,
 
       auto& h = H[static_cast<std::size_t>(j)];
       h.assign(static_cast<std::size_t>(j) + 2, 0.0);
-      double hlast = 0.0;
-      if (config.gmres_orthogonalization == GramSchmidtKind::kClassical) {
-        // Classical Gram–Schmidt: the whole projection row plus ‖w‖² travel
-        // in ONE batched allreduce, so a restart cycle costs O(m) collectives
-        // instead of MGS's O(m²) — the latency term that dominates the
-        // paper's Ethernet solve times.
-        std::vector<double> d(static_cast<std::size_t>(j) + 2);
-        for (int i = 0; i <= j; ++i) {
-          d[static_cast<std::size_t>(i)] =
-              w.dot_local(V[static_cast<std::size_t>(i)], comm);
-        }
-        d[static_cast<std::size_t>(j) + 1] = w.dot_local(w, comm);
-        comm.allreduce_sum(std::span<double>(d.data(), d.size()));
-        const double ww = d[static_cast<std::size_t>(j) + 1];
-        double est = ww;
-        for (int i = 0; i <= j; ++i) {
-          const double hij = d[static_cast<std::size_t>(i)];
-          h[static_cast<std::size_t>(i)] = hij;
-          est -= hij * hij;  // Pythagoras: ‖w − Vh‖² = ‖w‖² − Σ h²
-          w.axpy(-hij, V[static_cast<std::size_t>(i)], comm);
-        }
-        if (config.gmres_reorthogonalize) {
-          // DGKS second pass: one more batched allreduce buys back the
-          // orthogonality MGS gets from its sequential projections.
-          std::vector<double> d2(static_cast<std::size_t>(j) + 2);
-          for (int i = 0; i <= j; ++i) {
-            d2[static_cast<std::size_t>(i)] =
-                w.dot_local(V[static_cast<std::size_t>(i)], comm);
-          }
-          d2[static_cast<std::size_t>(j) + 1] = w.dot_local(w, comm);
-          comm.allreduce_sum(std::span<double>(d2.data(), d2.size()));
-          est = d2[static_cast<std::size_t>(j) + 1];
-          for (int i = 0; i <= j; ++i) {
-            const double cij = d2[static_cast<std::size_t>(i)];
-            h[static_cast<std::size_t>(i)] += cij;
-            est -= cij * cij;
-            w.axpy(-cij, V[static_cast<std::size_t>(i)], comm);
-          }
-        }
-        // The subtraction cancels when w is nearly in span(V); fall back to a
-        // direct norm then. est and ww are collective-identical on every
-        // rank, so the branch (and its extra allreduce) is rank-consistent.
-        constexpr double kCancellationGuard = 1e-4;
-        hlast = est > kCancellationGuard * ww ? std::sqrt(est) : w.norm2(comm);
-      } else {
-        // Modified Gram–Schmidt (reference): one global reduction per
-        // projection; bitwise-stable baseline for the accuracy benchmarks.
-        for (int i = 0; i <= j; ++i) {
-          const double hij = w.dot(V[static_cast<std::size_t>(i)], comm);
-          h[static_cast<std::size_t>(i)] = hij;
-          w.axpy(-hij, V[static_cast<std::size_t>(i)], comm);
-        }
-        hlast = w.norm2(comm);
+      // Modified Gram–Schmidt: one global reduction per projection, each
+      // against the already-updated w.
+      for (int i = 0; i <= j; ++i) {
+        const double hij = w.dot(V[static_cast<std::size_t>(i)], comm);
+        h[static_cast<std::size_t>(i)] = hij;
+        w.axpy(-hij, V[static_cast<std::size_t>(i)], comm);
       }
+      const double hlast = w.norm2(comm);
       h[static_cast<std::size_t>(j) + 1] = hlast;
 
       // Apply previous Givens rotations to the new column.
@@ -350,7 +304,7 @@ SolveStats gmres(const LinearOperator& A, const DistVector& b, DistVector& x,
   return stats;
 }
 
-SolveStats cg(const LinearOperator& A, const DistVector& b, DistVector& x,
+SolveStats cg(const DistCsrMatrix& A, const DistVector& b, DistVector& x,
               const Preconditioner& M, const SolverConfig& config,
               par::Communicator& comm) {
   SolveStats stats;
@@ -395,23 +349,16 @@ SolveStats cg(const LinearOperator& A, const DistVector& b, DistVector& x,
     x.axpy(alpha, p, comm);
     r.axpy(-alpha, Ap, comm);
 
-    double rnorm = 0.0;
-    double rz_new = 0.0;
-    if (config.fuse_reductions) {
-      // z = M⁻¹ r is needed for the next search direction anyway; computing
-      // it before the convergence test lets ‖r‖² and rᵀz share one allreduce
-      // (3 → 2 collectives per iteration). The span reduction sums each
-      // component in rank order, so both scalars match the unfused path bit
-      // for bit; the only waste is one preconditioner apply on the final
-      // iteration.
-      M.apply(r, z, comm);
-      std::array<double, 2> d{r.dot_local(r, comm), r.dot_local(z, comm)};
-      comm.allreduce_sum(std::span<double>(d.data(), d.size()));
-      rnorm = std::sqrt(d[0]);
-      rz_new = d[1];
-    } else {
-      rnorm = r.norm2(comm);
-    }
+    // z = M⁻¹ r is needed for the next search direction anyway; computing it
+    // before the convergence test lets ‖r‖² and rᵀz share one allreduce. The
+    // span reduction sums each component in rank order, exactly as separate
+    // scalar allreduces would; the only waste is one preconditioner apply on
+    // the final iteration.
+    M.apply(r, z, comm);
+    std::array<double, 2> d{r.dot_local(r, comm), r.dot_local(z, comm)};
+    comm.allreduce_sum(std::span<double>(d.data(), d.size()));
+    const double rnorm = std::sqrt(d[0]);
+    const double rz_new = d[1];
     stats.final_residual = rnorm;
     if (config.record_history) stats.history.push_back(rnorm);
     if (iter_span.active()) {
@@ -435,10 +382,6 @@ SolveStats cg(const LinearOperator& A, const DistVector& b, DistVector& x,
       return stats;
     }
 
-    if (!config.fuse_reductions) {
-      M.apply(r, z, comm);
-      rz_new = r.dot(z, comm);
-    }
     const double betak = rz_new / rz;
     rz = rz_new;
     // p = z + beta p
@@ -452,7 +395,7 @@ SolveStats cg(const LinearOperator& A, const DistVector& b, DistVector& x,
   return stats;
 }
 
-SolveStats bicgstab(const LinearOperator& A, const DistVector& b, DistVector& x,
+SolveStats bicgstab(const DistCsrMatrix& A, const DistVector& b, DistVector& x,
                     const Preconditioner& M, const SolverConfig& config,
                     par::Communicator& comm) {
   SolveStats stats;
@@ -463,8 +406,8 @@ SolveStats bicgstab(const LinearOperator& A, const DistVector& b, DistVector& x,
   r.scale(-1.0, comm);
   r.axpy(1.0, b, comm);
   // Same collective and the same arithmetic as r.norm2(comm); keeping rr0
-  // around lets the fused path seed the first rho without another reduction
-  // (r0 == r at entry, so r0ᵀr == rᵀr).
+  // around seeds the first rho without another reduction (r0 == r at entry,
+  // so r0ᵀr == rᵀr).
   const double rr0 = r.dot(r, comm);
   stats.initial_residual = std::sqrt(rr0);
   stats.final_residual = stats.initial_residual;
@@ -479,7 +422,7 @@ SolveStats bicgstab(const LinearOperator& A, const DistVector& b, DistVector& x,
 
   r0 = r;
   double rho = 1.0, alpha = 1.0, omega = 1.0;
-  double rho_pending = rr0;  ///< fused path: r0ᵀr carried from the last fused allreduce
+  double rho_pending = rr0;  ///< r0ᵀr carried from the previous closing allreduce
 
   const auto breakdown = [&stats](const char* what) {
     stats.stop_reason = StopReason::kBreakdown;
@@ -490,10 +433,9 @@ SolveStats bicgstab(const LinearOperator& A, const DistVector& b, DistVector& x,
     obs::Span iter_span = obs::global_span("bicgstab.iteration");
     const double rounds_before =
         iter_span.active() ? comm.work().current().coll_rounds : 0.0;
-    // Fused: r0ᵀr was batched into the allreduce that ended the previous
-    // iteration (or equals rr0 on entry), so the loop head is collective-free.
-    const double rho_new =
-        config.fuse_reductions ? rho_pending : r0.dot(r, comm);
+    // r0ᵀr was batched into the allreduce that ended the previous iteration
+    // (or equals rr0 on entry), so the loop head is collective-free.
+    const double rho_new = rho_pending;
     if (std::abs(rho_new) < 1e-300) {
       breakdown("rho -> 0");
       break;
@@ -541,40 +483,27 @@ SolveStats bicgstab(const LinearOperator& A, const DistVector& b, DistVector& x,
 
     M.apply(s, sh, comm);
     A.apply(sh, t, comm);
-    double tt = 0.0;
-    double ts = 0.0;
-    if (config.fuse_reductions) {
-      // tᵀt and tᵀs share one allreduce (both needed for omega).
-      std::array<double, 2> d{t.dot_local(t, comm), t.dot_local(s, comm)};
-      comm.allreduce_sum(std::span<double>(d.data(), d.size()));
-      tt = d[0];
-      ts = d[1];
-    } else {
-      tt = t.dot(t, comm);
-    }
-    if (tt < 1e-300) {
+    // tᵀt and tᵀs share one allreduce (both needed for omega).
+    std::array<double, 2> tts{t.dot_local(t, comm), t.dot_local(s, comm)};
+    comm.allreduce_sum(std::span<double>(tts.data(), tts.size()));
+    if (tts[0] < 1e-300) {
       breakdown("t.t -> 0");
       break;
     }
-    omega = (config.fuse_reductions ? ts : t.dot(s, comm)) / tt;
+    omega = tts[1] / tts[0];
 
     x.axpy(alpha, ph, comm);
     x.axpy(omega, sh, comm);
     r = s;
     r.axpy(-omega, t, comm);
 
-    double rnorm = 0.0;
-    if (config.fuse_reductions) {
-      // ‖r‖² and the next iteration's r0ᵀr share the closing allreduce.
-      // With both fusions BiCGStab runs 4 collectives per iteration instead
-      // of 6; the values are bit-identical (rank-ordered span reduction).
-      std::array<double, 2> d{r.dot_local(r, comm), r0.dot_local(r, comm)};
-      comm.allreduce_sum(std::span<double>(d.data(), d.size()));
-      rnorm = std::sqrt(d[0]);
-      rho_pending = d[1];
-    } else {
-      rnorm = r.norm2(comm);
-    }
+    // ‖r‖² and the next iteration's r0ᵀr share the closing allreduce, so an
+    // iteration runs 4 collectives; the values are those of separate scalar
+    // allreduces (rank-ordered span reduction).
+    std::array<double, 2> rr{r.dot_local(r, comm), r0.dot_local(r, comm)};
+    comm.allreduce_sum(std::span<double>(rr.data(), rr.size()));
+    const double rnorm = std::sqrt(rr[0]);
+    rho_pending = rr[1];
     stats.final_residual = rnorm;
     if (config.record_history) stats.history.push_back(rnorm);
     if (iter_span.active()) {

@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "par/communicator.h"
+#include "solver/dist_matrix.h"
 #include "solver/dist_vector.h"
-#include "solver/operator.h"
 #include "solver/preconditioner.h"
 
 namespace neuro::solver {
@@ -49,29 +49,11 @@ struct WatchdogConfig {
   int deadline_check_interval = 10;  ///< residual samples between deadline votes
 };
 
-/// GMRES orthogonalization variant. Modified Gram-Schmidt is the bitwise
-/// reference; classical Gram-Schmidt batches the whole projection row plus
-/// the norm into ONE allreduce per iteration, dropping the collective count
-/// per restart cycle from O(m²) to O(m).
-enum class GramSchmidtKind : std::uint8_t {
-  kModified,
-  kClassical,
-};
-
 struct SolverConfig {
   int max_iterations = 1000;
   double rtol = 1e-7;   ///< relative to the initial (preconditioned) residual
   double atol = 1e-30;
   int gmres_restart = 30;
-  GramSchmidtKind gmres_orthogonalization = GramSchmidtKind::kModified;
-  /// Second classical-GS pass (DGKS) restoring MGS-level orthogonality at the
-  /// cost of one extra batched allreduce; ignored under kModified.
-  bool gmres_reorthogonalize = false;
-  /// Fuse CG/BiCGStab per-iteration dot/norm pairs into one allreduce over a
-  /// small buffer. Bit-identical results (rank-ordered component-wise
-  /// reduction), fewer latency-bound collectives; off reproduces the legacy
-  /// one-allreduce-per-scalar sequence.
-  bool fuse_reductions = true;
   bool record_history = false;
   WatchdogConfig watchdog;
 };
@@ -90,25 +72,27 @@ struct SolveStats {
   }
 };
 
-/// Right-preconditioned restarted GMRES(m) with modified or classical
-/// (batched-allreduce) Gram–Schmidt, per config.gmres_orthogonalization.
-SolveStats gmres(const LinearOperator& A, const DistVector& b, DistVector& x,
+/// Right-preconditioned restarted GMRES(m) with modified Gram–Schmidt: j+2
+/// allreduces at Arnoldi step j (j+1 projections, then the norm).
+SolveStats gmres(const DistCsrMatrix& A, const DistVector& b, DistVector& x,
                  const Preconditioner& M, const SolverConfig& config,
                  par::Communicator& comm);
 
 /// Preconditioned conjugate gradients (A and M must be SPD; the elasticity
-/// system with substituted Dirichlet rows is).
-SolveStats cg(const LinearOperator& A, const DistVector& b, DistVector& x,
+/// system with substituted Dirichlet rows is). Two allreduces per iteration:
+/// pᵀAp, then ‖r‖² and rᵀz in one two-component round.
+SolveStats cg(const DistCsrMatrix& A, const DistVector& b, DistVector& x,
               const Preconditioner& M, const SolverConfig& config,
               par::Communicator& comm);
 
-/// Right-preconditioned BiCGStab.
-SolveStats bicgstab(const LinearOperator& A, const DistVector& b, DistVector& x,
+/// Right-preconditioned BiCGStab. Four allreduces per iteration: r₀ᵀv, ‖s‖²,
+/// [tᵀt, tᵀs], and the closing [‖r‖², r₀ᵀr] that seeds the next iteration's ρ.
+SolveStats bicgstab(const DistCsrMatrix& A, const DistVector& b, DistVector& x,
                     const Preconditioner& M, const SolverConfig& config,
                     par::Communicator& comm);
 
 /// ‖b - A x‖₂ (collective) — independent verification of a solve.
-double true_residual_norm(const LinearOperator& A, const DistVector& b,
+double true_residual_norm(const DistCsrMatrix& A, const DistVector& b,
                           const DistVector& x, par::Communicator& comm);
 
 }  // namespace neuro::solver

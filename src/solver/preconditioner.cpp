@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "solver/additive_schwarz.h"
-#include "solver/bsr_matrix.h"
 
 #include "base/check.h"
 
@@ -16,7 +15,7 @@ void IdentityPreconditioner::apply(const DistVector& r, DistVector& z,
   comm.work().add_mem_bytes(16.0 * static_cast<double>(r.local_size()));
 }
 
-JacobiPreconditioner::JacobiPreconditioner(const LinearOperator& A) {
+JacobiPreconditioner::JacobiPreconditioner(const DistCsrMatrix& A) {
   const RowRange range = A.range();
   inv_diag_.resize(static_cast<std::size_t>(range.size()));
   for (const GlobalRow r : range) {
@@ -40,7 +39,7 @@ void JacobiPreconditioner::apply(const DistVector& r, DistVector& z,
 namespace {
 
 /// Extracts the local diagonal block with per-row sorted columns.
-void sorted_local_block(const LinearOperator& A, std::vector<int>& row_ptr,
+void sorted_local_block(const DistCsrMatrix& A, std::vector<int>& row_ptr,
                         std::vector<int>& cols, std::vector<double>& values) {
   A.extract_diagonal_block(row_ptr, cols, values);
   const int n = static_cast<int>(row_ptr.size()) - 1;
@@ -72,7 +71,7 @@ int find_col(const std::vector<int>& cols, int b, int e, int c) {
 
 }  // namespace
 
-BlockJacobiIlu0::BlockJacobiIlu0(const LinearOperator& A) {
+BlockJacobiIlu0::BlockJacobiIlu0(const DistCsrMatrix& A) {
   sorted_local_block(A, row_ptr_, cols_, values_);
   const int n = static_cast<int>(row_ptr_.size()) - 1;
   diag_pos_.resize(static_cast<std::size_t>(n), -1);
@@ -142,7 +141,7 @@ void BlockJacobiIlu0::apply(const DistVector& r, DistVector& z,
                             16.0 * static_cast<double>(n));
 }
 
-BlockJacobiIc0::BlockJacobiIc0(const LinearOperator& A) {
+BlockJacobiIc0::BlockJacobiIc0(const DistCsrMatrix& A) {
   // Extract the sorted lower triangle (including the diagonal, which ends up
   // last in each row because columns are sorted and col <= row).
   std::vector<int> full_rp, full_cols;
@@ -268,7 +267,7 @@ void BlockJacobiIc0::apply(const DistVector& r, DistVector& z,
   comm.work().add_mem_bytes(24.0 * static_cast<double>(values_.size()));
 }
 
-SsorPreconditioner::SsorPreconditioner(const LinearOperator& A, double omega)
+SsorPreconditioner::SsorPreconditioner(const DistCsrMatrix& A, double omega)
     : omega_(omega) {
   NEURO_REQUIRE(omega > 0.0 && omega < 2.0, "SSOR: omega must lie in (0, 2)");
   sorted_local_block(A, row_ptr_, cols_, values_);
@@ -321,24 +320,17 @@ void SsorPreconditioner::apply(const DistVector& r, DistVector& z,
 }
 
 std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind,
-                                                    const LinearOperator& A,
+                                                    const DistCsrMatrix& A,
                                                     par::Communicator& comm,
                                                     int schwarz_overlap) {
   if (kind == PreconditionerKind::kAdditiveSchwarzIlu0) {
-    // Schwarz replicates the global scalar CSR structure at construction.
-    if (const auto* csr = dynamic_cast<const DistCsrMatrix*>(&A)) {
-      return std::make_unique<AdditiveSchwarz>(*csr, comm, schwarz_overlap);
-    }
-    const auto* bsr = dynamic_cast<const DistBsrMatrix*>(&A);
-    NEURO_REQUIRE(bsr != nullptr,
-                  "additive Schwarz requires a CSR or BSR operand");
-    return std::make_unique<AdditiveSchwarz>(bsr->to_csr(), comm, schwarz_overlap);
+    return std::make_unique<AdditiveSchwarz>(A, comm, schwarz_overlap);
   }
   return make_preconditioner(kind, A);
 }
 
 std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind,
-                                                    const LinearOperator& A) {
+                                                    const DistCsrMatrix& A) {
   NEURO_REQUIRE(kind != PreconditionerKind::kAdditiveSchwarzIlu0,
                 "additive Schwarz needs the communicator-aware factory overload");
   switch (kind) {

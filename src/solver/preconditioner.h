@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "par/communicator.h"
+#include "solver/dist_matrix.h"
 #include "solver/dist_vector.h"
-#include "solver/operator.h"
 
 namespace neuro::solver {
 
@@ -40,7 +40,7 @@ class IdentityPreconditioner final : public Preconditioner {
 /// Point Jacobi: M = diag(A).
 class JacobiPreconditioner final : public Preconditioner {
  public:
-  explicit JacobiPreconditioner(const LinearOperator& A);
+  explicit JacobiPreconditioner(const DistCsrMatrix& A);
   void apply(const DistVector& r, DistVector& z, par::Communicator& comm) const override;
   [[nodiscard]] std::string name() const override { return "jacobi"; }
 
@@ -53,7 +53,7 @@ class JacobiPreconditioner final : public Preconditioner {
 /// ILU(0), exactly as in PETSc.
 class BlockJacobiIlu0 final : public Preconditioner {
  public:
-  explicit BlockJacobiIlu0(const LinearOperator& A);
+  explicit BlockJacobiIlu0(const DistCsrMatrix& A);
   void apply(const DistVector& r, DistVector& z, par::Communicator& comm) const override;
   [[nodiscard]] std::string name() const override { return "block-jacobi/ilu0"; }
 
@@ -76,7 +76,7 @@ class BlockJacobiIlu0 final : public Preconditioner {
 /// factorization with a progressively shifted diagonal (Manteuffel).
 class BlockJacobiIc0 final : public Preconditioner {
  public:
-  explicit BlockJacobiIc0(const LinearOperator& A);
+  explicit BlockJacobiIc0(const DistCsrMatrix& A);
   void apply(const DistVector& r, DistVector& z, par::Communicator& comm) const override;
   [[nodiscard]] std::string name() const override { return "block-jacobi/ic0"; }
 
@@ -98,7 +98,7 @@ class BlockJacobiIc0 final : public Preconditioner {
 /// Block SSOR: one symmetric Gauss–Seidel sweep on the local block.
 class SsorPreconditioner final : public Preconditioner {
  public:
-  SsorPreconditioner(const LinearOperator& A, double omega = 1.0);
+  SsorPreconditioner(const DistCsrMatrix& A, double omega = 1.0);
   void apply(const DistVector& r, DistVector& z, par::Communicator& comm) const override;
   [[nodiscard]] std::string name() const override { return "ssor"; }
 
@@ -120,15 +120,12 @@ enum class PreconditionerKind {
   kAdditiveSchwarzIlu0,  ///< requires the communicator-aware factory overload
 };
 std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind,
-                                                    const LinearOperator& A);
+                                                    const DistCsrMatrix& A);
 
 /// Communicator-aware factory (collective for kAdditiveSchwarzIlu0, which
 /// exchanges matrix rows at construction; other kinds ignore `comm`).
-/// Schwarz needs the raw scalar CSR structure: a DistCsrMatrix operand is
-/// used directly, a DistBsrMatrix operand is expanded via to_csr(), anything
-/// else is rejected.
 std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind,
-                                                    const LinearOperator& A,
+                                                    const DistCsrMatrix& A,
                                                     par::Communicator& comm,
                                                     int schwarz_overlap = 1);
 

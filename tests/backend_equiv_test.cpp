@@ -1,22 +1,19 @@
-// Determinism and convergence over the solver's two assembled operator
-// backends {kCsrReference, kBsr}, plus the binary-search entry lookups of
-// both. Labelled `perf` (sanitizer CI runs this suite) and `determinism` (the
-// double-run test). Cross-backend field agreement at 1/2/4 ranks lives in
-// bsr_test (BsrSolveTest.DeformationBackendMatchesReference).
+// Determinism and convergence of the deformation solve on its one assembled
+// operator (scalar CSR) for each Krylov method, plus the operator's
+// binary-search entry lookups. Labelled `perf` (sanitizer CI runs this suite)
+// and `determinism` (the double-run test).
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <utility>
 #include <vector>
 
-#include "base/rng.h"
 #include "fem/assembly.h"
 #include "fem/boundary.h"
 #include "fem/deformation_solver.h"
 #include "mesh/mesher.h"
 #include "mesh/tri_surface.h"
 #include "par/communicator.h"
-#include "solver/bsr_matrix.h"
 #include "solver/dist_matrix.h"
 
 namespace neuro::fem {
@@ -72,13 +69,13 @@ void expect_bit_identical(const DeformationResult& a, const DeformationResult& b
 TEST(BackendEquivTest, DoubleRunIsBitIdenticalPerConfiguration) {
   // Determinism within a configuration: running the same solve twice must
   // replay bit for bit (fixed traversal order, owned-rows-only accumulation).
-  for (const MatrixBackend backend :
-       {MatrixBackend::kCsrReference, MatrixBackend::kBsr}) {
+  for (const KrylovKind krylov :
+       {KrylovKind::kGmres, KrylovKind::kCg, KrylovKind::kBicgstab}) {
     auto opt = base_options(4);
-    opt.backend = backend;
+    opt.krylov = krylov;
     const DeformationResult first = run(opt);
     const DeformationResult second = run(opt);
-    ASSERT_TRUE(first.stats.converged) << static_cast<int>(backend);
+    ASSERT_TRUE(first.stats.converged) << static_cast<int>(krylov);
     EXPECT_EQ(first.stats.iterations, second.stats.iterations);
     EXPECT_EQ(first.stats.final_residual, second.stats.final_residual);
     expect_bit_identical(first, second);
@@ -87,8 +84,8 @@ TEST(BackendEquivTest, DoubleRunIsBitIdenticalPerConfiguration) {
 
 TEST(BackendEquivTest, MixedPrecisionReachesDoubleToleranceNearIncompressible) {
   // Near-incompressible phantom (nu = 0.49): the stiffest configuration the
-  // pipeline meets. The additive-Schwarz ILU(0) solve on the default backend
-  // must still reach the requested relative tolerance at every rank count.
+  // pipeline meets. The additive-Schwarz ILU(0) solve must still reach the
+  // requested relative tolerance at every rank count.
   const MaterialMap stiff{Material{3000.0, 0.49}};
   for (const int P : {1, 2, 4}) {
     auto opt = base_options(P);
@@ -101,7 +98,7 @@ TEST(BackendEquivTest, MixedPrecisionReachesDoubleToleranceNearIncompressible) {
   }
 }
 
-// --- Binary-search entry lookups (dist_matrix / bsr_matrix) -----------------
+// --- Binary-search entry lookups (dist_matrix) ------------------------------
 
 TEST(EntryLookupTest, CsrValueAtHitMissAndFixedRows) {
   const auto part = mesh::partition_node_balanced(shared_mesh().num_nodes(), 2);
@@ -136,50 +133,6 @@ TEST(EntryLookupTest, CsrValueAtHitMissAndFixedRows) {
     const solver::GlobalRow fixed_row{row_of(bc.dofs().front()).value()};
     if (csr.A.range().contains(fixed_row)) {
       EXPECT_EQ(csr.A.value_at(fixed_row, fixed_row), 1.0);
-    }
-  });
-}
-
-TEST(EntryLookupTest, BsrValueAtMatchesCsrIncludingOffDiagonalBlocks) {
-  const auto part = mesh::partition_node_balanced(shared_mesh().num_nodes(), 2);
-  const MeshTopology topo = MeshTopology::build(shared_mesh());
-  par::run_spmd(2, [&](par::Communicator& comm) {
-    const LocalSystem csr = assemble_elasticity(
-        shared_mesh(), topo, MaterialMap::homogeneous_brain(), part, {}, comm);
-    LocalBsrSystem bsr = assemble_elasticity_bsr(
-        shared_mesh(), topo, MaterialMap::homogeneous_brain(), part, {}, comm);
-    const auto [rb, re] = bsr.A.range();
-    Rng rng(20260808u + static_cast<std::uint64_t>(comm.rank()));
-    for (int trial = 0; trial < 200; ++trial) {
-      const solver::GlobalRow row =
-          rb + static_cast<int>(rng.uniform_index(
-                   static_cast<std::uint64_t>(re - rb)));
-      const solver::GlobalRow col{static_cast<int>(rng.uniform_index(
-          static_cast<std::uint64_t>(bsr.A.global_size())))};
-      // The blocked lookup must agree with the scalar reference everywhere:
-      // stored scalar (hit), stored block with zero scalar, absent block.
-      EXPECT_EQ(bsr.A.value_at(row, col), csr.A.value_at(row, col))
-          << "row " << row << " col " << col;
-      double* entry = bsr.A.find_entry(row, col);
-      if (entry != nullptr) {
-        EXPECT_EQ(*entry, csr.A.value_at(row, col));
-      } else {
-        // Absent block -> the scalar reference holds no nonzero there either.
-        EXPECT_EQ(csr.A.value_at(row, col), 0.0)
-            << "row " << row << " col " << col;
-      }
-    }
-    // Off-diagonal block hit: pick the second block of the first block row.
-    const auto& bcols = bsr.A.block_cols();
-    if (bsr.A.block_row_ptr()[solver::LocalBlockRow{0} + 1] > 1) {
-      const int cbase = bcols[1].value() * 3;
-      for (int ca = 0; ca < 3; ++ca) {
-        for (int cb = 0; cb < 3; ++cb) {
-          const solver::GlobalRow row = rb + ca;
-          const solver::GlobalRow col{cbase + cb};
-          EXPECT_EQ(bsr.A.value_at(row, col), csr.A.value_at(row, col));
-        }
-      }
     }
   });
 }

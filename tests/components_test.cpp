@@ -1,16 +1,11 @@
-// Tests for connected components, surface (Neumann) loads, and the
-// deformation-field Jacobian diagnostics.
+// Tests for connected components and the deformation-field Jacobian
+// diagnostics.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "base/check.h"
 #include "core/deformation_field.h"
-#include "fem/deformation_solver.h"
-#include "fem/loads.h"
 #include "image/components.h"
-#include "mesh/mesher.h"
-#include "mesh/tri_surface.h"
 
 namespace neuro {
 namespace {
@@ -69,100 +64,6 @@ TEST(ComponentsTest, WrapAroundRowsDoNotConnect) {
   mask.at(3, 0, 0) = 1;
   mask.at(0, 1, 0) = 1;
   EXPECT_EQ(count_components(mask), 2);
-}
-
-mesh::TriSurface block_surface() {
-  ImageL labels({5, 5, 5}, 1, {2, 2, 2});
-  mesh::MesherConfig cfg;
-  cfg.stride = 2;
-  const mesh::TetMesh mesh = mesh::mesh_labeled_volume(labels, cfg);
-  static mesh::TetMesh kept;  // keep the mesh alive for surface node refs
-  kept = mesh;
-  return mesh::extract_boundary_surface(kept, {1});
-}
-
-TEST(SurfaceLoadsTest, TractionTotalEqualsAreaTimesTraction) {
-  const mesh::TriSurface surface = block_surface();
-  const Vec3 t{0.0, 0.0, -2.5};
-  const auto loads = fem::traction_loads(surface, t);
-  Vec3 total{};
-  for (const auto& [node, f] : loads) total += f;
-  const double area = mesh::surface_area(surface);
-  EXPECT_NEAR(total.z, area * t.z, 1e-9);
-  EXPECT_NEAR(total.x, 0.0, 1e-9);
-}
-
-TEST(SurfaceLoadsTest, PressureOnClosedSurfaceSumsToZero) {
-  // ∮ p n dA = 0 on a closed surface: the net pressure force vanishes.
-  const mesh::TriSurface surface = block_surface();
-  const auto loads = fem::pressure_loads(surface, 7.0);
-  Vec3 total{};
-  for (const auto& [node, f] : loads) total += f;
-  EXPECT_NEAR(norm(total), 0.0, 1e-9);
-  // But individual nodes are loaded inward.
-  double sum_mag = 0;
-  for (const auto& [node, f] : loads) sum_mag += norm(f);
-  EXPECT_GT(sum_mag, 1.0);
-}
-
-TEST(SurfaceLoadsTest, MergeSumsDuplicates) {
-  std::vector<std::pair<mesh::NodeId, Vec3>> loads{{mesh::NodeId{3}, {1, 0, 0}},
-                                                   {mesh::NodeId{3}, {2, 0, 0}},
-                                                   {mesh::NodeId{5}, {0, 1, 0}}};
-  const auto merged = fem::merge_loads(loads);
-  ASSERT_EQ(merged.size(), 2u);
-  EXPECT_DOUBLE_EQ(merged[0].second.x, 3.0);
-}
-
-TEST(SurfaceLoadsTest, RejectsFreeStandingSurface) {
-  mesh::TriSurface s;
-  s.vertices = {{0, 0, 0}, {1, 0, 0}, {0, 1, 0}};
-  using mesh::VertId;
-  s.triangles = {{VertId{0}, VertId{1}, VertId{2}}};
-  EXPECT_THROW(fem::traction_loads(s, {1, 0, 0}), CheckError);
-}
-
-TEST(NodalLoadSolveTest, TractionDeflectsFreeFace) {
-  // Clamp the bottom of a block, pull the top face upward with a traction:
-  // the top must deflect upward, the bottom stay put.
-  ImageL labels({5, 5, 5}, 1, {2, 2, 2});
-  mesh::MesherConfig cfg;
-  cfg.stride = 2;
-  const mesh::TetMesh mesh = mesh::mesh_labeled_volume(labels, cfg);
-  const auto surface = mesh::extract_boundary_surface(mesh, {1});
-
-  // Top patch (z = 8) as a sub-surface for loading.
-  mesh::TriSurface top = surface;
-  top.triangles.clear();
-  for (const auto& tri : surface.triangles) {
-    bool on_top = true;
-    for (const mesh::VertId v : tri) {
-      on_top = on_top && surface.vertices[v].z > 7.9;
-    }
-    if (on_top) top.triangles.push_back(tri);
-  }
-  ASSERT_GT(top.num_triangles(), 0);
-
-  std::vector<std::pair<mesh::NodeId, Vec3>> clamps;
-  for (const auto n : surface.mesh_nodes) {
-    if (mesh.nodes[n].z < 0.1) clamps.emplace_back(n, Vec3{});
-  }
-  fem::DeformationSolveOptions opt;
-  opt.nodal_loads = fem::traction_loads(top, {0, 0, 5.0});
-  opt.solver.rtol = 1e-9;
-  const auto result = solve_deformation(
-      mesh, fem::MaterialMap(fem::Material{100.0, 0.3}), clamps, opt);
-  EXPECT_TRUE(result.stats.converged);
-
-  double top_uz = -1e9, bottom_uz = 0;
-  for (const mesh::NodeId n : mesh.node_ids()) {
-    const double z = mesh.nodes[n].z;
-    const double uz = result.node_displacements[n.index()].z;
-    if (z > 7.9) top_uz = std::max(top_uz, uz);
-    if (z < 0.1) bottom_uz = std::max(bottom_uz, std::abs(uz));
-  }
-  EXPECT_GT(top_uz, 0.01);
-  EXPECT_NEAR(bottom_uz, 0.0, 1e-9);
 }
 
 TEST(JacobianTest, ZeroFieldIsIdentity) {

@@ -217,13 +217,16 @@ TEST(PipelineVariantsTest, NonFiniteScanRejectedBeforeWork) {
   const auto cas = phantom::make_case(pcfg, phantom::ShiftConfig{});
   ImageF scan = cas.intraop;
   scan(3, 2, 1) = std::numeric_limits<float>::quiet_NaN();
-  try {
-    static_cast<void>(run_intraop_pipeline(cas.preop, cas.preop_labels, scan,
-                                           default_pipeline_config()));
-    ADD_FAILURE() << "the pipeline accepted a NaN voxel";
-  } catch (const base::StatusError& e) {
-    EXPECT_EQ(e.status().code(), base::StatusCode::kFailedPrecondition);
-    EXPECT_NE(e.status().message().find("intraop"), std::string::npos);
+  // An empty scan is rejected the same way, before any stage builds on it.
+  for (const ImageF& bad : {scan, ImageF{}}) {
+    try {
+      static_cast<void>(run_intraop_pipeline(cas.preop, cas.preop_labels, bad,
+                                             default_pipeline_config()));
+      ADD_FAILURE() << "the pipeline accepted an invalid intraop scan";
+    } catch (const base::StatusError& e) {
+      EXPECT_EQ(e.status().code(), base::StatusCode::kFailedPrecondition);
+      EXPECT_NE(e.status().message().find("intraop"), std::string::npos);
+    }
   }
 }
 

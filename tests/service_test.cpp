@@ -158,7 +158,7 @@ TEST_F(ServiceTest, SaturationRejectsTypedAndShutdownLosesNothing) {
 
 TEST_F(ServiceTest, NonFiniteScansRejectedBeforeQueueing) {
   ServerOptions options;
-  options.workers = 0;
+  options.workers = 1;
   SessionServer server(options);
   const SessionId session = open_session(server);
 
@@ -170,20 +170,55 @@ TEST_F(ServiceTest, NonFiniteScansRejectedBeforeQueueing) {
   EXPECT_NE(rejected.status().message().find("(5,6,7)"), std::string::npos)
       << rejected.status().message();
 
+  auto empty = server.submit(session, ImageF{});
+  ASSERT_FALSE(empty.ok());
+  EXPECT_EQ(empty.status().code(), base::StatusCode::kFailedPrecondition);
+  EXPECT_NE(empty.status().message().find("empty"), std::string::npos)
+      << empty.status().message();
+
+  // The first well-formed scan fixes the session's grid.
+  auto first = server.submit(session, (*cases_)[0].intraop);
+  ASSERT_TRUE(first.ok());
+  const RequestReport first_report = server.wait(first.value());
+  ASSERT_TRUE(first_report.status.ok()) << first_report.status.message();
+
+  // Follow-up scans on another grid are rejected before queueing, not
+  // admitted to crash the live session.
+  for (const int n : {2, 16}) {
+    const ImageF other({n, n, n}, 100.0f, (*cases_)[0].intraop.spacing());
+    auto mismatched = server.submit(session, other);
+    ASSERT_FALSE(mismatched.ok()) << n;
+    EXPECT_EQ(mismatched.status().code(), base::StatusCode::kFailedPrecondition);
+    EXPECT_NE(mismatched.status().message().find("differ"), std::string::npos)
+        << mismatched.status().message();
+  }
+
+  // The live session takes the next valid scan; nothing was rebuilt.
+  auto next = server.submit(session, (*cases_)[1].intraop);
+  ASSERT_TRUE(next.ok());
+  const RequestReport next_report = server.wait(next.value());
+  ASSERT_TRUE(next_report.status.ok()) << next_report.status.message();
+  EXPECT_FALSE(next_report.resumed);
+  EXPECT_EQ(next_report.scan_index, 1);
+
   const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.submitted, 1);
-  EXPECT_EQ(stats.admitted, 0);
-  EXPECT_EQ(stats.rejected_invalid_scan, 1);
+  EXPECT_EQ(stats.submitted, 6);
+  EXPECT_EQ(stats.admitted, 2);
+  EXPECT_EQ(stats.rejected_invalid_scan, 4);
   EXPECT_EQ(stats.rejected_unknown_session, 0);
+  EXPECT_EQ(stats.crashes, 0);
+  EXPECT_EQ(stats.resumes, 0);
 
   ImageF preop = (*cases_)[0].preop;
   preop(0, 0, 0) = std::numeric_limits<float>::infinity();
-  try {
-    static_cast<void>(server.open_session(preop, (*cases_)[0].preop_labels,
-                                          pipeline_config()));
-    ADD_FAILURE() << "open_session accepted a non-finite preop scan";
-  } catch (const base::StatusError& e) {
-    EXPECT_EQ(e.status().code(), base::StatusCode::kFailedPrecondition);
+  for (const ImageF& bad : {preop, ImageF{}}) {
+    try {
+      static_cast<void>(server.open_session(bad, (*cases_)[0].preop_labels,
+                                            pipeline_config()));
+      ADD_FAILURE() << "open_session accepted an invalid preop scan";
+    } catch (const base::StatusError& e) {
+      EXPECT_EQ(e.status().code(), base::StatusCode::kFailedPrecondition);
+    }
   }
 }
 
@@ -345,10 +380,14 @@ TEST_F(ServiceTest, CrashedSessionResumesFromCheckpoint) {
   ASSERT_TRUE(good.ok());
   ASSERT_TRUE(server.wait(good.value()).status.ok());
 
-  // A poison request: a wrong-shaped intraop volume aborts the pipeline's
-  // invariant checks mid-solve. The server quarantines the session and fails
-  // the request typed instead of dying.
-  auto poison = server.submit(session, ImageF({8, 8, 8}));
+  // A poison request: a scan of the session's shape placed 10 m from the
+  // preoperative volume passes admission, but its brain mesh is empty, which
+  // aborts the pipeline's invariant checks mid-scan. The server quarantines
+  // the session and fails the request typed instead of dying.
+  const ImageF& shape = (*cases_)[1].intraop;
+  ImageF misplaced(shape.dims(), 0.0f, shape.spacing(), Vec3{1e4, 1e4, 1e4});
+  misplaced.data() = shape.data();
+  auto poison = server.submit(session, misplaced);
   ASSERT_TRUE(poison.ok());
   const RequestReport crash = server.wait(poison.value());
   EXPECT_FALSE(crash.status.ok());

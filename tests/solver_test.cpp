@@ -1,14 +1,19 @@
 // Tests for the distributed linear-algebra layer: vectors, CSR mat-vec with
 // ghost exchange, preconditioners, and the Krylov solvers — including
-// rank-count sweeps asserting that parallel results match serial ones.
+// rank-count sweeps asserting that parallel results match serial ones, and
+// the allreduce schedule each Krylov iteration pays.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "base/check.h"
 #include "base/rng.h"
+#include "obs/trace.h"
 #include "par/communicator.h"
 #include "solver/dist_matrix.h"
 #include "solver/dist_vector.h"
@@ -239,7 +244,7 @@ TEST(PreconditionerTest, FactoryProducesAllKinds) {
 
 struct KrylovCase {
   const char* name;
-  SolveStats (*solve)(const LinearOperator&, const DistVector&, DistVector&,
+  SolveStats (*solve)(const DistCsrMatrix&, const DistVector&, DistVector&,
                       const Preconditioner&, const SolverConfig&, par::Communicator&);
   bool needs_spd;
 };
@@ -402,6 +407,83 @@ TEST(KrylovTest, CgRejectsIndefiniteMatrix) {
     EXPECT_EQ(s.stop_reason, StopReason::kBreakdown);
     EXPECT_NE(s.stop_message.find("positive definite"), std::string::npos);
   });
+}
+
+/// The `allreduces` attribute of every `<method>.iteration` span rank 0
+/// records while `solve` runs at 2 ranks, in iteration order.
+std::vector<std::int64_t> allreduces_per_iteration(
+    const std::string& method, const std::function<void(par::Communicator&)>& solve) {
+  obs::global().clear();
+  obs::global().set_enabled(true);
+  par::run_spmd(2, solve);
+  obs::global().set_enabled(false);
+  std::vector<std::int64_t> rounds;
+  for (const auto& e : obs::global().snapshot()) {
+    if (e.rank != 0 || e.name != method + ".iteration") continue;
+    for (const auto& a : e.attrs) {
+      if (a.key == "allreduces") rounds.push_back(a.i);
+    }
+  }
+  obs::global().clear();
+  return rounds;
+}
+
+// Pins the collective schedule of each Krylov method at 2 ranks: modified
+// Gram–Schmidt GMRES pays j+2 allreduces at Arnoldi step j (j+1 projections,
+// then the norm), restarting at j = 0 each cycle; CG pays 2 (pᵀAp, then ‖r‖²
+// with rᵀz); BiCGStab pays 4 (r₀ᵀv, ‖s‖², [tᵀt, tᵀs], then ‖r‖² with the next
+// r₀ᵀr), or 2 when it converges on ‖s‖ at the half step. A change in any
+// count changes the latency term of every solve.
+TEST(KrylovScheduleTest, AllreduceRoundsPerIteration) {
+#ifdef NEURO_OBS_DISABLED
+  GTEST_SKIP() << "the iteration spans are compiled out (NEURO_OBS=OFF)";
+#endif
+  const int n = 60;
+  const DenseSystem unsym = DenseSystem::random_unsymmetric(n, 21);
+  const DenseSystem spd = DenseSystem::random_spd(n, 21);
+  constexpr int kRestart = 4;
+  int iterations = 0;
+  const auto run = [&](const DenseSystem& sys, auto method) {
+    return [&sys, method, &iterations](par::Communicator& comm) {
+      const auto range = rank_range(n, 2, comm.rank());
+      DistCsrMatrix A = sys.local_block(range);
+      A.setup_ghosts(comm);
+      BlockJacobiIlu0 M(A);
+      DistVector b(n, range), x(n, range);
+      for (const GlobalRow g : range) b[g] = sys.b[g.index()];
+      SolverConfig cfg;
+      cfg.rtol = 1e-10;
+      cfg.gmres_restart = kRestart;
+      const SolveStats stats = method(A, b, x, M, cfg, comm);
+      EXPECT_TRUE(stats.converged);
+      if (comm.rank() == 0) iterations = stats.iterations;
+    };
+  };
+
+  const auto gmres_rounds = allreduces_per_iteration("gmres", run(unsym, &gmres));
+  ASSERT_EQ(static_cast<int>(gmres_rounds.size()), iterations);
+  ASSERT_GT(iterations, kRestart);  // at least one restart
+  for (int it = 0; it < iterations; ++it) {
+    EXPECT_EQ(gmres_rounds[static_cast<std::size_t>(it)], it % kRestart + 2)
+        << "gmres iteration " << it + 1;
+  }
+
+  const auto cg_rounds = allreduces_per_iteration("cg", run(spd, &cg));
+  ASSERT_EQ(static_cast<int>(cg_rounds.size()), iterations);
+  ASSERT_GT(iterations, 1);
+  for (const std::int64_t r : cg_rounds) EXPECT_EQ(r, 2);
+
+  const auto bicgstab_rounds =
+      allreduces_per_iteration("bicgstab", run(unsym, &bicgstab));
+  ASSERT_EQ(static_cast<int>(bicgstab_rounds.size()), iterations);
+  ASSERT_GT(iterations, 1);
+  for (int it = 0; it + 1 < iterations; ++it) {
+    EXPECT_EQ(bicgstab_rounds[static_cast<std::size_t>(it)], 4)
+        << "bicgstab iteration " << it + 1;
+  }
+  // This system converges on ‖s‖ at the half step, which stops after r₀ᵀv
+  // and ‖s‖².
+  EXPECT_EQ(bicgstab_rounds.back(), 2);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Numerical-determinism and error-discipline static analyzer.
 
-Every correctness claim this repo makes — Fig. 4 accuracy, BSR/CSR backend
+Every correctness claim this repo makes — Fig. 4 accuracy, rank-count
 equivalence, fallback-rung determinism — rests on bit-identical replay
 (DESIGN.md §6). The regression tests assert that property on the schedules
 they happen to run; this tool rejects the constructs that *break* it

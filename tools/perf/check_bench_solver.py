@@ -2,19 +2,9 @@
 """Gate the solver microbenchmark record produced by bench_micro.
 
 Reads a google-benchmark JSON file (BENCH_solver.json in CI) and enforces
-the perf contracts of the block-CSR and observability work:
+the perf contracts of the observability work:
 
-  1. BM_BsrSpMV must process rows at least 1.5x faster than BM_SpMV
-     (items_per_second; both kernels apply the same matrix, so rows/s is
-     directly comparable).  bytes_per_second is reported for context
-     only -- the block layout deliberately moves fewer bytes per row, so
-     a bandwidth ratio understates the speedup.
-  2. Classical Gram-Schmidt GMRES (BM_GmresAllreduces/cgs:1) must batch
-     its reductions: at most 3 allreduce rounds per iteration (the
-     orthogonalization batch, the cancellation-guard fallback, and the
-     residual check), and strictly fewer than modified Gram-Schmidt
-     (cgs:0), whose round count grows with the Krylov basis.
-  3. obs::Span must be free when tracing is off and cheap when it is on:
+  1. obs::Span must be free when tracing is off and cheap when it is on:
      a disabled span (BM_SpanOverhead/enabled:0 -- one relaxed atomic
      load) must cost at most 50 ns, and an enabled span with the solver's
      three-attribute payload (BM_SpanWithAttrsOverhead/enabled:1 -- two
@@ -22,14 +12,14 @@ the perf contracts of the block-CSR and observability work:
      deliberately loose absolute ceilings, not ratios: they catch a lock
      or allocation sneaking onto the hot path without flaking on CI
      machine variance.
-  4. The record must come from an optimized binary on a quiet machine:
+  2. The record must come from an optimized binary on a quiet machine:
      the context key `neuro_build_type` (emitted by bench_micro's main
      from the translation unit's own NDEBUG/__OPTIMIZE__ state) must be
      "release", and `cpu_scaling_enabled` must be false.  The stock
      `library_build_type` key is useless here: it reports how the
      *benchmark library* was compiled, and distro packages ship debug
      builds, so it reads "debug" even for a -O2 bench binary.
-  5. Flight-recorder ring mode must stay black-box cheap: a disabled
+  3. Flight-recorder ring mode must stay black-box cheap: a disabled
      ring-mode span (BM_RingRecordOverhead/enabled:0) obeys the same
      50 ns inert-span bound, and steady-state ring recording with the
      solver attr payload (enabled:1, the ring wrapping on every record)
@@ -40,7 +30,9 @@ the perf contracts of the block-CSR and observability work:
 Every gate reads the `_median` aggregate row of a benchmark when the record
 has one (CI runs bench_micro with --benchmark_repetitions=5, so a single
 noisy repetition cannot pass or fail a gate by itself) and the benchmark's
-single row otherwise.
+single row otherwise.  BM_SpMV, BM_GaussianSmooth and BM_MiSamplerEvaluate
+ride in the record as kernel regression guards for diffing across runs; no
+gate reads them.
 
 Usage: check_bench_solver.py BENCH_solver.json
 """
@@ -48,8 +40,6 @@ Usage: check_bench_solver.py BENCH_solver.json
 import json
 import sys
 
-BSR_MIN_SPEEDUP = 1.5
-CGS_MAX_ROUNDS_PER_ITER = 3.0
 DISABLED_SPAN_MAX_NS = 50.0
 ENABLED_ATTR_SPAN_MAX_NS = 5000.0
 # Flight-recorder ring mode (BM_RingRecordOverhead): steady-state wrapping
@@ -85,20 +75,6 @@ def main(path):
             raise SystemExit(f"FAIL: benchmark {name!r} missing from {path}")
         return singles[name]
 
-    csr = need("BM_SpMV")
-    bsr = need("BM_BsrSpMV")
-    speedup = bsr["items_per_second"] / csr["items_per_second"]
-    print(f"SpMV effective bandwidth: CSR {csr['bytes_per_second'] / 1e9:.2f} GB/s, "
-          f"BSR {bsr['bytes_per_second'] / 1e9:.2f} GB/s")
-    print(f"SpMV row throughput: CSR {csr['items_per_second'] / 1e9:.2f} Grows/s, "
-          f"BSR {bsr['items_per_second'] / 1e9:.2f} Grows/s ({speedup:.2f}x)")
-
-    mgs = need("BM_GmresAllreduces/cgs:0")
-    cgs = need("BM_GmresAllreduces/cgs:1")
-    mgs_rounds = mgs["allreduces_per_iter"]
-    cgs_rounds = cgs["allreduces_per_iter"]
-    print(f"GMRES allreduce rounds per iteration: MGS {mgs_rounds:.2f}, "
-          f"CGS {cgs_rounds:.2f}")
 
     span_off = need("BM_SpanOverhead/enabled:0")
     span_on = need("BM_SpanOverhead/enabled:1")
@@ -148,21 +124,11 @@ def main(path):
             f"enabled ring record costs {cpu_ns(ring_on):.1f} ns, above gate "
             f"{RING_RECORD_MAX_NS:.0f} ns -- the flight-recorder wrap path "
             "must stay within 2x the legacy attr-span bound")
-    if speedup < BSR_MIN_SPEEDUP:
-        failures.append(
-            f"BSR SpMV speedup {speedup:.2f}x below gate {BSR_MIN_SPEEDUP}x")
-    if cgs_rounds > CGS_MAX_ROUNDS_PER_ITER:
-        failures.append(
-            f"CGS rounds/iter {cgs_rounds:.2f} above gate {CGS_MAX_ROUNDS_PER_ITER}")
-    if cgs_rounds >= mgs_rounds:
-        failures.append(
-            f"CGS rounds/iter {cgs_rounds:.2f} not below MGS {mgs_rounds:.2f}")
     for msg in failures:
         print(f"FAIL: {msg}")
     if failures:
         return 1
-    print("OK: build provenance, BSR speedup, GMRES reduction batching, span "
-          "and ring overhead within contract")
+    print("OK: build provenance, span and ring overhead within contract")
     return 0
 
 
