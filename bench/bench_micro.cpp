@@ -52,15 +52,41 @@ const mesh::TetMesh& shared_mesh() {
   return mesh;
 }
 
-void BM_DistanceTransform(benchmark::State& state) {
-  const auto& cas = shared_case();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(distance_to_label(cas.preop_labels, 3, 10.0));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(cas.preop_labels.size()));
+/// The Fig. 6 shape: a 96³ phantom at 2.5 mm, built once per process.
+const phantom::PhantomCase& fig6_case() {
+  static const phantom::PhantomCase cas = [] {
+    phantom::PhantomConfig pc;
+    pc.dims = {96, 96, 96};
+    pc.spacing = {2.5, 2.5, 2.5};
+    return phantom::make_case(pc, phantom::ShiftConfig{});
+  }();
+  return cas;
 }
-BENCHMARK(BM_DistanceTransform)->Unit(benchmark::kMillisecond);
+
+// One saturated localization channel at the Fig. 6 shape on state.range(0)
+// ranks. The output and the working grid are allocated once, on this thread,
+// as the pipeline allocates them before its rank region; each iteration is
+// one rank region.
+void BM_DistanceTransform(benchmark::State& state) {
+  const auto& labels = fig6_case().preop_labels;
+  const int nranks = static_cast<int>(state.range(0));
+  ImageF out(labels.dims(), 0.0f, labels.spacing(), labels.origin());
+  Image3D<double> squared(labels.dims(), 0.0, labels.spacing(), labels.origin());
+  for (auto _ : state) {
+    par::run_spmd(nranks, [&](par::Communicator& comm) {
+      distance_to_label(labels, 3, 10.0, out, squared, &comm);
+    });
+    benchmark::DoNotOptimize(out.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(labels.size()));
+}
+BENCHMARK(BM_DistanceTransform)
+    ->Arg(1)
+    ->Arg(2)
+    ->ArgName("ranks")
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_GaussianSmooth(benchmark::State& state) {
   const auto& cas = shared_case();
@@ -267,20 +293,33 @@ void BM_Ilu0Apply(benchmark::State& state) {
 }
 BENCHMARK(BM_Ilu0Apply)->Unit(benchmark::kMillisecond);
 
+// Active-surface iterations on state.range(0) ranks: each benchmark
+// iteration is one rank region running kIterations surface iterations (no
+// convergence stop), so the region's start-up is spread over them; items
+// are vertex updates.
 void BM_ActiveSurfaceIteration(benchmark::State& state) {
+  constexpr int kIterations = 20;
   const auto& cas = shared_case();
   const auto surface = mesh::extract_boundary_surface(shared_mesh(), {3, 4, 5, 6});
   const ImageL mask = seg::mask_of_labels(cas.intraop_labels, {3, 4, 5, 6});
   const ImageF sdf = signed_distance_to_label(mask, 1, 30.0);
+  const int nranks = static_cast<int>(state.range(0));
   surface::ActiveSurfaceConfig cfg;
-  cfg.max_iterations = 1;
+  cfg.max_iterations = kIterations;
   cfg.convergence_mm = 0.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(surface::deform_to_distance_field(surface, sdf, cfg));
+    par::run_spmd(nranks, [&](par::Communicator& comm) {
+      benchmark::DoNotOptimize(surface::deform_to_distance_field(surface, sdf, cfg, &comm));
+    });
   }
-  state.SetItemsProcessed(state.iterations() * surface.num_vertices());
+  state.SetItemsProcessed(state.iterations() * kIterations * surface.num_vertices());
 }
-BENCHMARK(BM_ActiveSurfaceIteration)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ActiveSurfaceIteration)
+    ->Arg(1)
+    ->Arg(2)
+    ->ArgName("ranks")
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_RasterizeDisplacements(benchmark::State& state) {
   const auto& mesh = shared_mesh();

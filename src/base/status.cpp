@@ -14,6 +14,7 @@ const char* status_code_name(StatusCode code) {
     case StatusCode::kFailedPrecondition: return "failed_precondition";
     case StatusCode::kUnavailable: return "unavailable";
     case StatusCode::kResourceExhausted: return "resource_exhausted";
+    case StatusCode::kInvalidArgument: return "invalid_argument";
   }
   return "unknown";
 }

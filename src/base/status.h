@@ -35,6 +35,7 @@ enum class StatusCode : std::uint8_t {
   kFailedPrecondition, ///< inputs outside the contract, detected before work
   kUnavailable,        ///< a requested fallback resource does not exist
   kResourceExhausted,  ///< a bounded queue or pool is full; retry later
+  kInvalidArgument,    ///< a parameter value outside its documented domain
 };
 
 /// Short stable name, e.g. "deadline_exceeded".

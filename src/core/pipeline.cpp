@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <type_traits>
 #include <utility>
@@ -44,15 +45,18 @@ PipelineConfig default_pipeline_config() {
 namespace {
 
 /// Runs `body` on `nranks` ranks and returns rank 0's result. For stages
-/// whose result is the same on every rank.
+/// whose result is the same on every rank. The result is copied on the
+/// calling thread: one kept from a rank thread would hold that thread's
+/// malloc arena, which shows in peak RSS.
 template <typename F>
 auto on_ranks(int nranks, F&& body) {
-  std::invoke_result_t<F&, par::Communicator&> out{};
+  using Result = std::invoke_result_t<F&, par::Communicator&>;
+  std::optional<Result> rank0;
   par::run_spmd(nranks, [&](par::Communicator& comm) {
     auto mine = body(comm);
-    if (comm.rank() == 0) out = std::move(mine);
+    if (comm.rank() == 0) rank0.emplace(std::move(mine));
   });
-  return out;
+  return Result(*rank0);
 }
 
 /// seg::segment_intraop's k-NN pass on `nranks` ranks. The prototypes come
@@ -68,9 +72,19 @@ ImageL classify_on_ranks(const seg::FeatureStack& stack,
   });
 }
 
+/// A zero-filled image of voxel type T on `grid`'s grid. The pipeline
+/// allocates every full-grid buffer of a rank region with it, on the calling
+/// thread, before the region starts: one allocated in a rank thread stays in
+/// that thread's malloc arena and raises peak RSS.
+template <typename T, typename U>
+Image3D<T> zeros_on(const Image3D<U>& grid) {
+  return Image3D<T>(grid.dims(), T{}, grid.spacing(), grid.origin());
+}
+
 /// The smoothed signed distance to the surface-matching tissues of a label
-/// map: the active surface's attraction field.
-ImageF surface_sdf(const ImageL& labels, const PipelineConfig& config) {
+/// map: the active surface's attraction field. The mask is serial; the
+/// transforms and the smoothing run on `nranks` ranks.
+ImageF surface_sdf(const ImageL& labels, const PipelineConfig& config, int nranks) {
   const auto& match_labels = config.surface_match_labels.empty()
                                  ? config.brain_labels
                                  : config.surface_match_labels;
@@ -78,8 +92,35 @@ ImageF surface_sdf(const ImageL& labels, const PipelineConfig& config) {
   // Stray classified voxels create spurious SDF attractors; the brain is one
   // connected object, so keep only the largest component.
   if (config.clean_masks) mask = keep_largest_component(mask);
-  return gaussian_smooth(signed_distance_to_label(mask, 1, config.sdf_saturation_mm),
-                         0.8);  // soften voxel staircase
+  ImageF sdf = zeros_on<float>(mask);
+  Image3D<double> squared = zeros_on<double>(mask);
+  par::run_spmd(nranks, [&](par::Communicator& comm) {
+    signed_distance_to_label(mask, 1, config.sdf_saturation_mm, sdf, squared, &comm);
+    gaussian_smooth(sdf, 0.8, sdf, &comm);  // soften voxel staircase
+  });
+  return sdf;
+}
+
+/// The fewest vertices an active-surface rank moves. Every iteration gathers
+/// the steps of all ranks (two barriers and a copy, about 40 us on a 4-core
+/// host) against about 175 ns of work per vertex, so smaller blocks finish
+/// sooner on fewer ranks: the 96^3 brain surface (about 1,800 vertices) runs
+/// on 2 ranks, a 32-48^3 one (a few hundred) on one.
+constexpr int kMinVerticesPerRank = 512;
+
+/// deform_to_distance_field on up to `nranks` ranks, recording the iteration
+/// count and the ranks used on `span`.
+surface::ActiveSurfaceResult active_surface_on_ranks(const mesh::TriSurface& initial,
+                                                     const ImageF& sdf,
+                                                     const PipelineConfig& config,
+                                                     int nranks, obs::Span& span) {
+  const int ranks = std::max(1, std::min(nranks, initial.num_vertices() / kMinVerticesPerRank));
+  surface::ActiveSurfaceResult result = on_ranks(ranks, [&](par::Communicator& comm) {
+    return surface::deform_to_distance_field(initial, sdf, config.active_surface, &comm);
+  });
+  span.attr("iterations", result.iterations);
+  span.attr("ranks", ranks);
+  return result;
 }
 
 template <typename T>
@@ -116,6 +157,7 @@ std::shared_ptr<PreopModel> build_preop_model(
     const ImageF& preop, const ImageL& preop_labels, const ImageF& intraop,
     const RigidTransform& rigid, const PipelineConfig& config,
     const std::vector<seg::Prototype>* reuse) {
+  const int nranks = config.fem.nranks;
   auto model = std::make_shared<PreopModel>();
   model->rigid = rigid;
   model->grid_dims = intraop.dims();
@@ -123,12 +165,25 @@ std::shared_ptr<PreopModel> build_preop_model(
   model->grid_origin = intraop.origin();
   {
     obs::Span sub = obs::global_span("pipeline.rigid.resample");
-    model->aligned_preop = resample_rigid(preop, intraop, rigid);
-    const ImageL grid(intraop.dims(), 0, intraop.spacing(), intraop.origin());
-    model->aligned_preop_labels = resample_rigid_labels(preop_labels, grid, rigid);
+    model->aligned_preop = zeros_on<float>(intraop);
+    model->aligned_preop_labels = zeros_on<std::uint8_t>(intraop);
+    par::run_spmd(nranks, [&](par::Communicator& comm) {
+      resample_rigid(preop, rigid, 0.0f, model->aligned_preop, &comm);
+      resample_rigid_labels(preop_labels, rigid, 0, model->aligned_preop_labels, &comm);
+    });
   }
-  model->localization =
-      seg::build_localization_channels(model->aligned_preop_labels, config.seg);
+  {
+    obs::Span sub = obs::global_span("pipeline.seg.localization");
+    std::vector<std::shared_ptr<ImageF>> channels;
+    for (std::size_t c = 0; c < config.seg.classes.size(); ++c) {
+      channels.push_back(std::make_shared<ImageF>(zeros_on<float>(intraop)));
+    }
+    Image3D<double> squared = zeros_on<double>(intraop);
+    model->localization = on_ranks(nranks, [&](par::Communicator& comm) {
+      return seg::build_localization_channels(model->aligned_preop_labels, config.seg,
+                                              channels, squared, &comm);
+    });
+  }
   model->prototypes =
       reuse != nullptr && !reuse->empty()
           ? *reuse
@@ -146,7 +201,7 @@ std::shared_ptr<PreopModel> build_preop_model(
         stack,
         seg::model_prototypes(stack, model->aligned_preop_labels, config.seg,
                               &model->prototypes),
-        config.seg, config.fem.nranks);
+        config.seg, nranks);
   }
   mesh::MesherConfig mesher = config.mesher;
   if (mesher.keep_labels.empty()) mesher.keep_labels = config.brain_labels;
@@ -169,13 +224,12 @@ std::shared_ptr<PreopModel> build_preop_model(
   ImageF sdf_pre;
   {
     obs::Span sub = obs::global_span("pipeline.surface.preop_sdf");
-    sdf_pre = surface_sdf(model->preop_classified_labels, config);
+    sdf_pre = surface_sdf(model->preop_classified_labels, config, nranks);
   }
   {
     obs::Span sub = obs::global_span("pipeline.surface.snap");
-    model->snapped_surface = surface::deform_to_distance_field(
-                                 model->preop_surface, sdf_pre, config.active_surface)
-                                 .surface;
+    model->snapped_surface =
+        active_surface_on_ranks(model->preop_surface, sdf_pre, config, nranks, sub).surface;
   }
   return model;
 }
@@ -319,15 +373,18 @@ PipelineResult run_intraop_pipeline(const ImageF& preop, const ImageL& preop_lab
   obs::Span stage = obs::timed_span("pipeline.rigid_registration");
 
   // --- 1. Rigid registration: align preop data to the intraop frame. ---
-  // Registration and classification run on the FEM's ranks. Each is
-  // rank-count invariant (integer MI histograms, disjoint label slabs), so
+  // Every full-grid stage runs on the FEM's ranks: registration and its
+  // pyramid, the resample, the distance transforms and smoothing, the
+  // classification and the active surface. Each is rank-count invariant
+  // (integer MI histograms, disjoint slabs and lines, vertex-order sums), so
   // rank 0's result is every rank's result and the serial one.
   const int nranks = config.fem.nranks;
   if (config.do_rigid_registration) {
     obs::Span sub = obs::global_span("pipeline.rigid.register_mi");
-    const reg::RegistrationPyramid pyramid =
-        reg::build_registration_pyramid(intraop, preop, config.rigid);
+    reg::RegistrationPyramid pyramid =
+        reg::registration_pyramid_grids(intraop, preop, config.rigid);
     const auto rigid = on_ranks(nranks, [&](par::Communicator& comm) {
+      reg::build_registration_pyramid(intraop, preop, config.rigid, pyramid, &comm);
       return reg::register_rigid_mi(pyramid, config.rigid, {}, &comm);
     });
     result.rigid = rigid.transform;
@@ -395,12 +452,12 @@ PipelineResult run_intraop_pipeline(const ImageF& preop, const ImageL& preop_lab
   ImageF sdf_intra;
   {
     obs::Span sub = obs::global_span("pipeline.surface.sdf");
-    sdf_intra = surface_sdf(result.segmentation.labels, config);
+    sdf_intra = surface_sdf(result.segmentation.labels, config, nranks);
   }
   {
     obs::Span sub = obs::global_span("pipeline.surface.active_surface");
-    result.surface_match = surface::deform_to_distance_field(
-        model->snapped_surface, sdf_intra, config.active_surface);
+    result.surface_match =
+        active_surface_on_ranks(model->snapped_surface, sdf_intra, config, nranks, sub);
   }
   // Re-express displacements relative to the snapped preop configuration and
   // restore the mesh-node bookkeeping of the original extraction.

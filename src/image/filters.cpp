@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "base/numerics_annotations.h"
+#include "obs/trace.h"
 
 namespace neuro {
 
@@ -24,74 +25,92 @@ std::vector<double> gaussian_kernel(double sigma) {
   return k;
 }
 
-/// Convolves along one axis (0=x, 1=y, 2=z) with replicate boundaries. Every
-/// output voxel sums kernel[t + r] * img(index + t, clamped along the axis) for
-/// t = -r..r in that order, starting from 0.0, so each voxel gets the bits of
-/// the plain per-voxel, per-tap loop. The x pass clamps only the x index, and
-/// only near the row ends. The y and z passes add one x-row segment per tap
-/// into a run of accumulators. The accumulators live on the stack: a small
-/// heap buffer freed here lands above the output image in the heap and keeps
-/// later freed images from going back to the system, which shows in peak RSS.
-NEURO_BITEXACT
-ImageF convolve_axis(const ImageF& img, const std::vector<double>& kernel, int axis) {
-  ImageF out(img.dims(), 0.0f, img.spacing(), img.origin());
-  const IVec3 d = img.dims();
-  const int radius = static_cast<int>(kernel.size() / 2);
-  const float* src = img.data().data();
-  float* dst = out.data().data();
-  if (axis == 0) {
-    for (int k = 0; k < d.z; ++k) {
-      for (int j = 0; j < d.y; ++j) {
-        const float* row = src + img.index(0, j, k);
-        float* out_row = dst + img.index(0, j, k);
-        for (int i = 0; i < d.x; ++i) {
-          double acc = 0.0;
-          if (i >= radius && i + radius < d.x) {
-            const float* taps = row + (i - radius);
-            for (std::size_t t = 0; t < kernel.size(); ++t) {
-              acc += kernel[t] * static_cast<double>(taps[t]);
-            }
-          } else {
-            for (int t = -radius; t <= radius; ++t) {
-              acc += kernel[static_cast<std::size_t>(t + radius)] *
-                     static_cast<double>(row[std::clamp(i + t, 0, d.x - 1)]);
-            }
-          }
-          out_row[i] = static_cast<float>(acc);
-        }
-      }
-    }
-    return out;
-  }
-  constexpr int kSegment = 256;
-  double acc[kSegment];
-  for (int k = 0; k < d.z; ++k) {
-    for (int j = 0; j < d.y; ++j) {
-      float* out_row = dst + img.index(0, j, k);
-      for (int i0 = 0; i0 < d.x; i0 += kSegment) {
-        const int n = std::min(kSegment, d.x - i0);
-        std::fill_n(acc, n, 0.0);
-        for (int t = -radius; t <= radius; ++t) {
-          const int jj = axis == 1 ? std::clamp(j + t, 0, d.y - 1) : j;
-          const int kk = axis == 2 ? std::clamp(k + t, 0, d.z - 1) : k;
-          const float* row = src + img.index(i0, jj, kk);
-          const double w = kernel[static_cast<std::size_t>(t + radius)];
-          for (int i = 0; i < n; ++i) acc[i] += w * static_cast<double>(row[i]);
-        }
-        for (int i = 0; i < n; ++i) out_row[i0 + i] = static_cast<float>(acc[i]);
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
+NEURO_BITEXACT
+void gaussian_smooth(const ImageF& img, double sigma, ImageF& out, par::Communicator* comm) {
+  const std::vector<double> kernel = gaussian_kernel(sigma);
+  NEURO_REQUIRE(out.same_grid(img), "gaussian_smooth: output grid must match the input's");
+  obs::Span span = obs::global_span("image.gaussian");
+  if (span.active()) [[unlikely]] {
+    span.attr("ranks", comm != nullptr ? comm->size() : 1);
+    span.attr("voxels", static_cast<std::int64_t>(img.size()));
+  }
+  const IVec3 d = img.dims();
+  const int radius = static_cast<int>(kernel.size() / 2);
+  const auto nx = static_cast<std::size_t>(d.x);
+  const std::size_t plane = nx * static_cast<std::size_t>(d.y);
+  const float* src = img.data().data();
+  float* dst = out.data().data();
+  // This rank's scratch: one x row with `radius` replicated edge samples on
+  // each side, and one xy or xz plane of the pass before.
+  std::vector<float> padded(nx + 2 * static_cast<std::size_t>(radius));
+  std::vector<float> block(nx * static_cast<std::size_t>(std::max(d.y, d.z)));
+  constexpr int kSegment = 256;
+  double acc[kSegment];
+  // Smooths each x row of `out` along the axis whose rows lie `stride` rows
+  // apart in `block`, in segments of kSegment accumulators: row `r` of `n` is
+  // the sum of the tap-weighted rows clamp(r + t) for t = -radius..radius.
+  const auto rows_along_axis = [&](int n, std::size_t stride, float* out_first) {
+    for (int r = 0; r < n; ++r) {
+      float* out_row = out_first + stride * static_cast<std::size_t>(r);
+      for (int i0 = 0; i0 < d.x; i0 += kSegment) {
+        const int m = std::min(kSegment, d.x - i0);
+        std::fill_n(acc, m, 0.0);
+        for (int t = -radius; t <= radius; ++t) {
+          const float* row =
+              block.data() + nx * static_cast<std::size_t>(std::clamp(r + t, 0, n - 1)) +
+              static_cast<std::size_t>(i0);
+          const double w = kernel[static_cast<std::size_t>(t + radius)];
+          for (int i = 0; i < m; ++i) acc[i] += w * static_cast<double>(row[i]);
+        }
+        for (int i = 0; i < m; ++i) out_row[i0 + i] = static_cast<float>(acc[i]);
+      }
+    }
+  };
+
+  // x and y passes on this rank's z planes: a plane's y pass reads only that
+  // plane's x rows. Each x row is copied into `padded` and each x-smoothed
+  // plane into `block` first, so `out` may be `img`.
+  const par::BlockRange planes = par::block_range(d.z, comm);
+  for (int k = planes.begin; k < planes.end; ++k) {
+    const std::size_t first = plane * static_cast<std::size_t>(k);
+    for (int j = 0; j < d.y; ++j) {
+      const float* row = src + first + nx * static_cast<std::size_t>(j);
+      for (std::size_t t = 0; t < padded.size(); ++t) {
+        padded[t] = row[std::clamp(static_cast<int>(t) - radius, 0, d.x - 1)];
+      }
+      float* out_row = dst + first + nx * static_cast<std::size_t>(j);
+      for (int i = 0; i < d.x; ++i) {
+        double a = 0.0;
+        const float* taps = padded.data() + i;
+        for (std::size_t t = 0; t < kernel.size(); ++t) {
+          a += kernel[t] * static_cast<double>(taps[t]);
+        }
+        out_row[i] = static_cast<float>(a);
+      }
+    }
+    std::copy_n(dst + first, plane, block.data());
+    rows_along_axis(d.y, nx, dst + first);
+  }
+  par::barrier(comm);  // the z pass reads every rank's planes
+
+  // z pass on this rank's y rows: gather the xz plane of row j, then smooth.
+  const par::BlockRange rows = par::block_range(d.y, comm);
+  for (int j = rows.begin; j < rows.end; ++j) {
+    float* first = dst + nx * static_cast<std::size_t>(j);
+    for (int k = 0; k < d.z; ++k) {
+      std::copy_n(first + plane * static_cast<std::size_t>(k), nx,
+                  block.data() + nx * static_cast<std::size_t>(k));
+    }
+    rows_along_axis(d.z, plane, first);
+  }
+  par::barrier(comm);  // `out` is complete on every rank
+}
+
 ImageF gaussian_smooth(const ImageF& img, double sigma) {
-  const auto kernel = gaussian_kernel(sigma);
-  ImageF out = convolve_axis(img, kernel, 0);
-  out = convolve_axis(out, kernel, 1);
-  out = convolve_axis(out, kernel, 2);
+  ImageF out(img.dims(), 0.0f, img.spacing(), img.origin());
+  gaussian_smooth(img, sigma, out, nullptr);
   return out;
 }
 

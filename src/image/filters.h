@@ -5,12 +5,26 @@
 
 #include "base/rng.h"
 #include "image/image3d.h"
+#include "par/communicator.h"
 
 namespace neuro {
 
 /// Separable Gaussian smoothing with standard deviation `sigma` (in voxels).
 /// Kernel radius is ceil(3*sigma); replicate boundary handling.
 ImageF gaussian_smooth(const ImageF& img, double sigma);
+
+/// gaussian_smooth written into `out`, which lies on img's grid and may be
+/// `img` itself (the volume is then smoothed in place). The function above is
+/// this call with an output of its own and no communicator.
+///
+/// With a communicator the call is collective and every rank passes the same
+/// `img` and `out`: the x and y passes run on each rank's z planes and the z
+/// pass on its y rows, with a barrier in between, and `out` holds the serial
+/// result bit for bit, at any rank count, when the call returns on any rank.
+/// The caller allocates `out` on its own thread before the rank region
+/// starts: a full grid allocated in a rank thread stays in that thread's
+/// malloc arena and raises peak RSS.
+void gaussian_smooth(const ImageF& img, double sigma, ImageF& out, par::Communicator* comm);
 
 /// Central-difference gradient in *physical* units (1/spacing applied).
 ImageV gradient(const ImageF& img);

@@ -121,11 +121,12 @@ using ImageF = Image3D<float>;
 using ImageL = Image3D<std::uint8_t>;   ///< label map
 using ImageV = Image3D<Vec3>;           ///< vector field
 
-/// Trilinear interpolation at continuous voxel coordinates; coordinates are
-/// clamped to the volume (replicate boundary). Only meaningful for arithmetic
-/// pixel types.
-template <typename T>
-double sample_trilinear(const Image3D<T>& img, const Vec3& ijk) {
+/// Trilinear interpolation of value(voxel) at continuous voxel coordinates;
+/// coordinates are clamped to the volume (replicate boundary). `value` maps a
+/// voxel to the double that is interpolated, so a pointwise function of an
+/// image samples as if it had been written out as an image of its own.
+template <typename T, typename Value>
+double sample_trilinear(const Image3D<T>& img, const Vec3& ijk, Value value) {
   const IVec3 d = img.dims();
   double x = ijk.x, y = ijk.y, z = ijk.z;
   x = x < 0 ? 0 : (x > d.x - 1 ? d.x - 1 : x);
@@ -137,7 +138,7 @@ double sample_trilinear(const Image3D<T>& img, const Vec3& ijk) {
   const int k1 = k0 + 1 < d.z ? k0 + 1 : k0;
   const double fx = x - i0, fy = y - j0, fz = z - k0;
 
-  auto v = [&](int i, int j, int k) { return static_cast<double>(img(i, j, k)); };
+  auto v = [&](int i, int j, int k) -> double { return value(img(i, j, k)); };
   const double c00 = v(i0, j0, k0) * (1 - fx) + v(i1, j0, k0) * fx;
   const double c10 = v(i0, j1, k0) * (1 - fx) + v(i1, j1, k0) * fx;
   const double c01 = v(i0, j0, k1) * (1 - fx) + v(i1, j0, k1) * fx;
@@ -145,6 +146,14 @@ double sample_trilinear(const Image3D<T>& img, const Vec3& ijk) {
   const double c0 = c00 * (1 - fy) + c10 * fy;
   const double c1 = c01 * (1 - fy) + c11 * fy;
   return c0 * (1 - fz) + c1 * fz;
+}
+
+/// Trilinear interpolation at continuous voxel coordinates; coordinates are
+/// clamped to the volume (replicate boundary). Only meaningful for arithmetic
+/// pixel types.
+template <typename T>
+double sample_trilinear(const Image3D<T>& img, const Vec3& ijk) {
+  return sample_trilinear(img, ijk, [](const T& x) { return static_cast<double>(x); });
 }
 
 /// Trilinear interpolation of a vector field at continuous voxel coordinates.

@@ -32,36 +32,35 @@ RigidTransform RigidTransform::inverse() const {
   return inv;
 }
 
-ImageF resample_rigid(const ImageF& moving, const ImageF& fixed_grid,
-                      const RigidTransform& transform, float outside) {
-  ImageF out(fixed_grid.dims(), outside, fixed_grid.spacing(), fixed_grid.origin());
+void resample_rigid(const ImageF& moving, const RigidTransform& transform, float outside,
+                    ImageF& out, par::Communicator* comm) {
   const IVec3 d = out.dims();
   const IVec3 md = moving.dims();
   const Mat3 R = transform.rotation_matrix();
-  for (int k = 0; k < d.z; ++k) {
+  const par::BlockRange slab = par::block_range(d.z, comm);
+  for (int k = slab.begin; k < slab.end; ++k) {
     for (int j = 0; j < d.y; ++j) {
       for (int i = 0; i < d.x; ++i) {
         const Vec3 p_fixed = out.voxel_to_physical(i, j, k);
         const Vec3 p_moving = transform.apply(R, p_fixed);
         const Vec3 v = moving.physical_to_voxel(p_moving);
-        if (v.x < 0 || v.y < 0 || v.z < 0 || v.x > md.x - 1 || v.y > md.y - 1 ||
-            v.z > md.z - 1) {
-          continue;  // keep `outside`
-        }
-        out(i, j, k) = static_cast<float>(sample_trilinear(moving, v));
+        out(i, j, k) = v.x < 0 || v.y < 0 || v.z < 0 || v.x > md.x - 1 || v.y > md.y - 1 ||
+                               v.z > md.z - 1
+                           ? outside
+                           : static_cast<float>(sample_trilinear(moving, v));
       }
     }
   }
-  return out;
+  par::barrier(comm);  // `out` is complete on every rank
 }
 
-ImageL resample_rigid_labels(const ImageL& moving, const ImageL& fixed_grid,
-                             const RigidTransform& transform, std::uint8_t outside) {
-  ImageL out(fixed_grid.dims(), outside, fixed_grid.spacing(), fixed_grid.origin());
+void resample_rigid_labels(const ImageL& moving, const RigidTransform& transform,
+                           std::uint8_t outside, ImageL& out, par::Communicator* comm) {
   const IVec3 d = out.dims();
   const IVec3 md = moving.dims();
   const Mat3 R = transform.rotation_matrix();
-  for (int k = 0; k < d.z; ++k) {
+  const par::BlockRange slab = par::block_range(d.z, comm);
+  for (int k = slab.begin; k < slab.end; ++k) {
     for (int j = 0; j < d.y; ++j) {
       for (int i = 0; i < d.x; ++i) {
         const Vec3 p_fixed = out.voxel_to_physical(i, j, k);
@@ -70,13 +69,26 @@ ImageL resample_rigid_labels(const ImageL& moving, const ImageL& fixed_grid,
         const int ii = static_cast<int>(v.x + 0.5);
         const int jj = static_cast<int>(v.y + 0.5);
         const int kk = static_cast<int>(v.z + 0.5);
-        if (ii < 0 || jj < 0 || kk < 0 || ii >= md.x || jj >= md.y || kk >= md.z) {
-          continue;
-        }
-        out(i, j, k) = moving(ii, jj, kk);
+        out(i, j, k) = ii < 0 || jj < 0 || kk < 0 || ii >= md.x || jj >= md.y || kk >= md.z
+                           ? outside
+                           : moving(ii, jj, kk);
       }
     }
   }
+  par::barrier(comm);  // `out` is complete on every rank
+}
+
+ImageF resample_rigid(const ImageF& moving, const ImageF& fixed_grid,
+                      const RigidTransform& transform, float outside) {
+  ImageF out(fixed_grid.dims(), outside, fixed_grid.spacing(), fixed_grid.origin());
+  resample_rigid(moving, transform, outside, out, nullptr);
+  return out;
+}
+
+ImageL resample_rigid_labels(const ImageL& moving, const ImageL& fixed_grid,
+                             const RigidTransform& transform, std::uint8_t outside) {
+  ImageL out(fixed_grid.dims(), outside, fixed_grid.spacing(), fixed_grid.origin());
+  resample_rigid_labels(moving, transform, outside, out, nullptr);
   return out;
 }
 

@@ -5,6 +5,7 @@
 
 #include "base/mat3.h"
 #include "image/image3d.h"
+#include "par/communicator.h"
 
 namespace neuro {
 
@@ -63,5 +64,22 @@ ImageF resample_rigid(const ImageF& moving, const ImageF& fixed_grid,
 /// Nearest-neighbour variant for label maps.
 ImageL resample_rigid_labels(const ImageL& moving, const ImageL& fixed_grid,
                              const RigidTransform& transform, std::uint8_t outside = 0);
+
+/// resample_rigid written into `out`, whose grid is the fixed grid. The
+/// functions above are these calls with an output of their own and no
+/// communicator.
+///
+/// With a communicator the call is collective and every rank passes the same
+/// `out`: each rank resamples its z slab, and `out` holds the serial result bit
+/// for bit, at any rank count, when the call returns on any rank. The caller
+/// allocates `out` on its own thread before the rank region starts: a full
+/// grid allocated in a rank thread stays in that thread's malloc arena and
+/// raises peak RSS.
+void resample_rigid(const ImageF& moving, const RigidTransform& transform, float outside,
+                    ImageF& out, par::Communicator* comm);
+
+/// resample_rigid_labels in the collective form of resample_rigid's above.
+void resample_rigid_labels(const ImageL& moving, const RigidTransform& transform,
+                           std::uint8_t outside, ImageL& out, par::Communicator* comm);
 
 }  // namespace neuro

@@ -492,6 +492,17 @@ inline BlockRange block_range(int n, int rank, int nranks) {
   return {begin, begin + base + (rank < extra ? 1 : 0)};
 }
 
+/// This rank's block of `n` items in a call that takes an optional
+/// communicator: all of them when `comm` is null (the serial call).
+inline BlockRange block_range(int n, const Communicator* comm) {
+  return comm != nullptr ? block_range(n, comm->rank(), comm->size()) : BlockRange{0, n};
+}
+
+/// A barrier when `comm` is non-null; nothing in the serial call.
+inline void barrier(Communicator* comm) {
+  if (comm != nullptr) comm->barrier();
+}
+
 /// Options for run_spmd.
 struct SpmdOptions {
   /// Collective-order verification (par/verify.h). kAuto follows the

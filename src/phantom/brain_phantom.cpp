@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "base/check.h"
+#include "base/status.h"
 #include "image/filters.h"
 
 namespace neuro::phantom {
@@ -208,8 +210,12 @@ PhantomCase make_case(const PhantomConfig& config, const ShiftConfig& shift,
 
 ShiftConfig shift_at_progress(const ShiftConfig& final_shift, double progress,
                               double resection_onset) {
-  NEURO_REQUIRE(progress >= 0.0 && progress <= 1.0,
-                "shift_at_progress: progress must lie in [0,1], got " << progress);
+  // Written so NaN fails too.
+  if (!(progress >= 0.0 && progress <= 1.0)) {
+    std::ostringstream oss;
+    oss << "shift_at_progress: progress must lie in [0,1], got " << progress;
+    throw base::StatusError({base::StatusCode::kInvalidArgument, oss.str()});
+  }
   ShiftConfig s = final_shift;
   s.max_sink_mm *= progress;
   const bool resected = final_shift.resect_tumor && progress >= resection_onset;

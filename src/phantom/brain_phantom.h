@@ -132,7 +132,8 @@ PhantomCase make_case(const PhantomConfig& config, const ShiftConfig& shift,
 /// final ones scaled by `progress` ∈ [0,1]; the tumor counts as resected once
 /// progress reaches `resection_onset` (before that the cavity terms are off).
 /// Mirrors the paper's protocol of repeated scans "as the surgeon checked the
-/// progress of tumor resection".
+/// progress of tumor resection". A progress outside [0,1], NaN included,
+/// throws base::StatusError with kInvalidArgument.
 ShiftConfig shift_at_progress(const ShiftConfig& final_shift, double progress,
                               double resection_onset = 0.5);
 

@@ -103,9 +103,7 @@ MiSampler::MiSampler(const ImageF& fixed, const ImageF& moving, const MiConfig& 
   const int stride = config.sample_stride;
   const IVec3 d = fixed.dims();
   const int planes = (d.z + stride - 1) / stride;
-  const par::BlockRange slab =
-      comm != nullptr ? par::block_range(planes, comm->rank(), comm->size())
-                      : par::BlockRange{0, planes};
+  const par::BlockRange slab = par::block_range(planes, comm);
   samples_.reserve(static_cast<std::size_t>(slab.end - slab.begin) *
                    static_cast<std::size_t>((d.y + stride - 1) / stride) *
                    static_cast<std::size_t>((d.x + stride - 1) / stride));

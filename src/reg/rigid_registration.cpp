@@ -12,14 +12,25 @@
 
 namespace neuro::reg {
 
-ImageF downsample2(const ImageF& img) {
+namespace {
+
+/// The grid downsample2 gives `img`.
+ImageF downsample2_grid(const ImageF& img) {
   const IVec3 d = img.dims();
   const IVec3 nd{std::max(1, d.x / 2), std::max(1, d.y / 2), std::max(1, d.z / 2)};
-  ImageF out(nd, 0.0f,
-             {img.spacing().x * d.x / nd.x, img.spacing().y * d.y / nd.y,
-              img.spacing().z * d.z / nd.z},
-             img.origin());
-  for (int k = 0; k < nd.z; ++k) {
+  return ImageF(nd, 0.0f,
+                {img.spacing().x * d.x / nd.x, img.spacing().y * d.y / nd.y,
+                 img.spacing().z * d.z / nd.z},
+                img.origin());
+}
+
+/// downsample2 of `img` into `out` (downsample2_grid(img)); with a
+/// communicator each rank fills its z slab of `out`.
+void downsample2(const ImageF& img, ImageF& out, par::Communicator* comm) {
+  const IVec3 d = img.dims();
+  const IVec3 nd = out.dims();
+  const par::BlockRange slab = par::block_range(nd.z, comm);
+  for (int k = slab.begin; k < slab.end; ++k) {
     for (int j = 0; j < nd.y; ++j) {
       for (int i = 0; i < nd.x; ++i) {
         // Average the source block (folding any odd remainder into the last).
@@ -40,6 +51,13 @@ ImageF downsample2(const ImageF& img) {
       }
     }
   }
+}
+
+}  // namespace
+
+ImageF downsample2(const ImageF& img) {
+  ImageF out = downsample2_grid(img);
+  downsample2(img, out, nullptr);
   return out;
 }
 
@@ -98,23 +116,53 @@ NEURO_BITEXACT LineMax line_search_max(F&& f, double step, double f_zero) {
 
 }  // namespace
 
-RegistrationPyramid build_registration_pyramid(const ImageF& fixed, const ImageF& moving,
+RegistrationPyramid registration_pyramid_grids(const ImageF& fixed, const ImageF& moving,
                                                const RigidRegistrationConfig& config) {
   NEURO_REQUIRE(config.pyramid_levels >= 1, "register_rigid_mi: need >= 1 level");
   RegistrationPyramid pyr;
-  pyr.fixed.push_back(config.metric_smoothing_sigma > 0.0
-                          ? gaussian_smooth(fixed, config.metric_smoothing_sigma)
-                          : fixed);
-  pyr.moving.push_back(config.metric_smoothing_sigma > 0.0
-                           ? gaussian_smooth(moving, config.metric_smoothing_sigma)
-                           : moving);
+  pyr.fixed.emplace_back(fixed.dims(), 0.0f, fixed.spacing(), fixed.origin());
+  pyr.moving.emplace_back(moving.dims(), 0.0f, moving.spacing(), moving.origin());
   for (int l = 1; l < config.pyramid_levels; ++l) {
-    pyr.fixed.push_back(downsample2(pyr.fixed.back()));
-    pyr.moving.push_back(downsample2(pyr.moving.back()));
+    pyr.fixed.push_back(downsample2_grid(pyr.fixed.back()));
+    pyr.moving.push_back(downsample2_grid(pyr.moving.back()));
   }
   const IVec3 fd = fixed.dims();
   pyr.center = fixed.voxel_to_physical(
       Vec3{(fd.x - 1) / 2.0, (fd.y - 1) / 2.0, (fd.z - 1) / 2.0});
+  return pyr;
+}
+
+void build_registration_pyramid(const ImageF& fixed, const ImageF& moving,
+                                const RigidRegistrationConfig& config,
+                                RegistrationPyramid& pyramid, par::Communicator* comm) {
+  const auto levels = static_cast<std::size_t>(config.pyramid_levels);
+  NEURO_REQUIRE(pyramid.fixed.size() == levels && pyramid.moving.size() == levels &&
+                    pyramid.fixed[0].same_grid(fixed) && pyramid.moving[0].same_grid(moving),
+                "build_registration_pyramid: pyramid not from registration_pyramid_grids");
+  for (auto [image, level0] : {std::pair{&fixed, &pyramid.fixed[0]},
+                               std::pair{&moving, &pyramid.moving[0]}}) {
+    if (config.metric_smoothing_sigma > 0.0) {
+      gaussian_smooth(*image, config.metric_smoothing_sigma, *level0, comm);
+    } else {
+      const std::size_t plane = image->size() / static_cast<std::size_t>(image->dims().z);
+      const par::BlockRange slab = par::block_range(image->dims().z, comm);
+      std::copy(image->data().begin() + static_cast<std::ptrdiff_t>(plane * slab.begin),
+                image->data().begin() + static_cast<std::ptrdiff_t>(plane * slab.end),
+                level0->data().begin() + static_cast<std::ptrdiff_t>(plane * slab.begin));
+      par::barrier(comm);
+    }
+  }
+  for (std::size_t l = 1; l < levels; ++l) {
+    downsample2(pyramid.fixed[l - 1], pyramid.fixed[l], comm);
+    downsample2(pyramid.moving[l - 1], pyramid.moving[l], comm);
+    par::barrier(comm);  // level l + 1 reads every rank's slab of level l
+  }
+}
+
+RegistrationPyramid build_registration_pyramid(const ImageF& fixed, const ImageF& moving,
+                                               const RigidRegistrationConfig& config) {
+  RegistrationPyramid pyr = registration_pyramid_grids(fixed, moving, config);
+  build_registration_pyramid(fixed, moving, config, pyr, nullptr);
   return pyr;
 }
 

@@ -58,6 +58,25 @@ struct RegistrationPyramid {
 RegistrationPyramid build_registration_pyramid(const ImageF& fixed, const ImageF& moving,
                                                const RigidRegistrationConfig& config);
 
+/// The pyramid build_registration_pyramid gives, with every level allocated
+/// on its grid and not yet filled: the buffers of the collective build below.
+RegistrationPyramid registration_pyramid_grids(const ImageF& fixed, const ImageF& moving,
+                                               const RigidRegistrationConfig& config);
+
+/// build_registration_pyramid into `pyramid`, which registration_pyramid_grids
+/// gave for the same images and config. The function above is this call on
+/// buffers of its own with no communicator.
+///
+/// With a communicator the call is collective and every rank passes the same
+/// `pyramid`: the ranks split the lines of the metric smoothing (the
+/// collective gaussian_smooth) and the z planes of each 2x downsampling, and
+/// `pyramid` holds the serial result bit for bit, at any rank count, when the
+/// call returns on any rank. The caller allocates the pyramid on its own
+/// thread before the rank region starts.
+void build_registration_pyramid(const ImageF& fixed, const ImageF& moving,
+                                const RigidRegistrationConfig& config,
+                                RegistrationPyramid& pyramid, par::Communicator* comm);
+
 /// Finds the rigid transform maximizing MI(fixed, moving ∘ T), starting from
 /// `initial`. The rotation center is fixed to the center of the fixed volume.
 /// With a communicator the call is collective: each MI evaluation samples a

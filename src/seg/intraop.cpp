@@ -10,16 +10,34 @@
 namespace neuro::seg {
 
 FeatureStack build_localization_channels(const ImageL& preop_labels,
-                                         const IntraopSegmentationConfig& config) {
+                                         const IntraopSegmentationConfig& config,
+                                         const std::vector<std::shared_ptr<ImageF>>& channels,
+                                         Image3D<double>& squared, par::Communicator* comm) {
   NEURO_REQUIRE(!config.classes.empty(),
                 "build_localization_channels: no classes configured");
+  NEURO_REQUIRE(channels.size() == config.classes.size(),
+                "build_localization_channels: need one channel buffer per class");
   obs::Span span = obs::global_span("seg.localization");
   FeatureStack localization;
-  for (const std::uint8_t cls : config.classes) {
-    localization.add_channel(distance_to_label(preop_labels, cls, config.dt_saturation_mm),
-                             config.dt_weight);
+  for (std::size_t c = 0; c < channels.size(); ++c) {
+    distance_to_label(preop_labels, config.classes[c], config.dt_saturation_mm, *channels[c],
+                      squared, comm);
+    localization.add_channel(channels[c], config.dt_weight);
   }
   return localization;
+}
+
+FeatureStack build_localization_channels(const ImageL& preop_labels,
+                                         const IntraopSegmentationConfig& config) {
+  std::vector<std::shared_ptr<ImageF>> channels;
+  for (std::size_t c = 0; c < config.classes.size(); ++c) {
+    channels.push_back(std::make_shared<ImageF>(preop_labels.dims(), 0.0f,
+                                                preop_labels.spacing(),
+                                                preop_labels.origin()));
+  }
+  Image3D<double> squared(preop_labels.dims(), 0.0, preop_labels.spacing(),
+                          preop_labels.origin());
+  return build_localization_channels(preop_labels, config, channels, squared, nullptr);
 }
 
 FeatureStack build_feature_stack(const ImageF& scan, const FeatureStack& localization,

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "image/image3d.h"
@@ -52,6 +53,22 @@ struct IntraopSegmentation {
 /// labels can share one build.
 FeatureStack build_localization_channels(const ImageL& preop_labels,
                                          const IntraopSegmentationConfig& config);
+
+/// build_localization_channels into the caller's buffers: channel c is
+/// `channels[c]`, filled with the saturated distance to config.classes[c],
+/// and `squared` is the distance transforms' working grid, all on the labels'
+/// grid. The function above is this call with buffers of its own and no
+/// communicator.
+///
+/// With a communicator the call is collective and every rank passes the same
+/// buffers: the ranks split each transform's lines (the collective
+/// distance_to_label), and every rank returns the same stack over the filled
+/// channels, the serial one bit for bit. The caller allocates the buffers on
+/// its own thread before the rank region starts.
+FeatureStack build_localization_channels(const ImageL& preop_labels,
+                                         const IntraopSegmentationConfig& config,
+                                         const std::vector<std::shared_ptr<ImageF>>& channels,
+                                         Image3D<double>& squared, par::Communicator* comm);
 
 /// The feature stack of a scan: channel 0 is the scan intensity, then the
 /// channels of `localization` (shared, not copied).

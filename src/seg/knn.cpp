@@ -17,12 +17,16 @@
 namespace neuro::seg {
 
 void FeatureStack::add_channel(ImageF channel, double weight) {
+  add_channel(std::make_shared<const ImageF>(std::move(channel)), weight);
+}
+
+void FeatureStack::add_channel(std::shared_ptr<const ImageF> channel, double weight) {
   NEURO_REQUIRE(weight > 0.0, "FeatureStack: channel weight must be positive");
   if (!channels_.empty()) {
-    NEURO_REQUIRE(channel.dims() == dims(),
+    NEURO_REQUIRE(channel->dims() == dims(),
                   "FeatureStack: channel dims mismatch");
   }
-  channels_.push_back(std::make_shared<const ImageF>(std::move(channel)));
+  channels_.push_back(std::move(channel));
   weights_.push_back(weight);
 }
 

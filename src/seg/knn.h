@@ -30,6 +30,8 @@ namespace neuro::seg {
 class FeatureStack {
  public:
   void add_channel(ImageF channel, double weight = 1.0);
+  /// Appends a channel that the stack shares with other owners.
+  void add_channel(std::shared_ptr<const ImageF> channel, double weight = 1.0);
   /// Appends every channel of `other`, with its weight, sharing the storage.
   void add_channels(const FeatureStack& other);
 

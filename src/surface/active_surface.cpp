@@ -11,20 +11,34 @@ namespace neuro::surface {
 namespace {
 
 /// Central-difference gradient of a potential at a physical point, sampled
-/// trilinearly in voxel space (h = half a voxel per axis).
-Vec3 potential_gradient(const ImageF& potential, const Vec3& p) {
-  const Vec3 v = potential.physical_to_voxel(p);
-  const Vec3 sp = potential.spacing();
+/// trilinearly in voxel space (h = half a voxel per axis). `potential(v)` is
+/// the potential at continuous voxel coordinates v of `grid`.
+template <typename Sample>
+Vec3 potential_gradient(const ImageF& grid, const Sample& potential, const Vec3& p) {
+  const Vec3 v = grid.physical_to_voxel(p);
+  const Vec3 sp = grid.spacing();
   auto s = [&](double dx, double dy, double dz) {
-    return sample_trilinear(potential, {v.x + dx, v.y + dy, v.z + dz});
+    return potential(Vec3{v.x + dx, v.y + dy, v.z + dz});
   };
   return {(s(0.5, 0, 0) - s(-0.5, 0, 0)) / sp.x,
           (s(0, 0.5, 0) - s(0, -0.5, 0)) / sp.y,
           (s(0, 0, 0.5) - s(0, 0, -0.5)) / sp.z};
 }
 
-ActiveSurfaceResult run(const mesh::TriSurface& initial, const ImageF& potential,
-                        const ActiveSurfaceConfig& config) {
+/// A vertex's position after an iteration and the length of the step that
+/// took it there.
+struct VertexStep {
+  Vec3 x;
+  double motion = 0.0;
+};
+
+/// The active-surface iterations over the potential `potential` samples on
+/// `grid`. Fills everything but mean_abs_potential. Each rank moves its block
+/// of vertices; the gathered steps update every rank's copy in vertex order.
+template <typename Sample>
+ActiveSurfaceResult run(const mesh::TriSurface& initial, const ImageF& grid,
+                        const Sample& potential, const ActiveSurfaceConfig& config,
+                        par::Communicator* comm) {
   NEURO_REQUIRE(initial.num_vertices() > 0, "active surface: empty surface");
   NEURO_REQUIRE(config.max_iterations > 0 && config.step > 0.0,
                 "active surface: bad config");
@@ -33,15 +47,17 @@ ActiveSurfaceResult run(const mesh::TriSurface& initial, const ImageF& potential
   result.surface = initial;
   const auto adjacency = mesh::surface_adjacency(initial);
   auto& verts = result.surface.vertices;
-  base::IdVector<mesh::VertId, Vec3> next(verts.size());
+  const par::BlockRange mine = par::block_range(static_cast<int>(verts.size()), comm);
+  std::vector<VertexStep> local(static_cast<std::size_t>(mine.end - mine.begin));
+  std::vector<VertexStep> gathered;
 
   for (int it = 0; it < config.max_iterations; ++it) {
-    double total_motion = 0.0;
-    for (const mesh::VertId v : verts.ids()) {
+    for (int i = mine.begin; i < mine.end; ++i) {
+      const mesh::VertId v{i};
       const Vec3& x = verts[v];
 
       // External: steepest descent on the potential.
-      const Vec3 ext = -1.0 * potential_gradient(potential, x);
+      const Vec3 ext = -1.0 * potential_gradient(grid, potential, x);
 
       // Internal: umbrella-operator membrane tension.
       Vec3 lap{};
@@ -54,51 +70,64 @@ ActiveSurfaceResult run(const mesh::TriSurface& initial, const ImageF& potential
       Vec3 dx = config.step * (config.force_scale * ext + config.tension * lap);
       const double len = norm(dx);
       if (len > config.max_step_mm) dx *= config.max_step_mm / len;
-      next[v] = x + dx;
-      total_motion += norm(dx);
+      local[static_cast<std::size_t>(i - mine.begin)] = {x + dx, norm(dx)};
     }
-    verts.swap(next);
+    if (comm != nullptr) gathered = comm->allgatherv(std::span<const VertexStep>(local));
+    const std::vector<VertexStep>& steps = comm != nullptr ? gathered : local;
+    double total_motion = 0.0;
+    for (const mesh::VertId v : verts.ids()) {
+      verts[v] = steps[static_cast<std::size_t>(v.value())].x;
+      total_motion += steps[static_cast<std::size_t>(v.value())].motion;
+    }
     ++result.iterations;
     result.final_mean_motion_mm = total_motion / static_cast<double>(verts.size());
     if (result.final_mean_motion_mm < config.convergence_mm) break;
   }
 
   result.displacements.resize(verts.size());
-  double abs_pot = 0.0;
   for (const mesh::VertId v : verts.ids()) {
     result.displacements[v] = verts[v] - initial.vertices[v];
-    abs_pot += std::abs(sample_physical(potential, verts[v]));
   }
-  result.mean_abs_potential = abs_pot / static_cast<double>(verts.size());
   return result;
+}
+
+/// Mean |image| sampled at the surface's vertices.
+double mean_abs_at_vertices(const mesh::TriSurface& surface, const ImageF& image) {
+  double sum = 0.0;
+  for (const Vec3& v : surface.vertices) sum += std::abs(sample_physical(image, v));
+  return sum / static_cast<double>(surface.vertices.size());
 }
 
 }  // namespace
 
 ActiveSurfaceResult deform_to_potential(const mesh::TriSurface& initial,
                                         const ImageF& potential,
-                                        const ActiveSurfaceConfig& config) {
-  return run(initial, potential, config);
+                                        const ActiveSurfaceConfig& config,
+                                        par::Communicator* comm) {
+  ActiveSurfaceResult result = run(
+      initial, potential, [&](const Vec3& v) { return sample_trilinear(potential, v); },
+      config, comm);
+  result.mean_abs_potential = mean_abs_at_vertices(result.surface, potential);
+  return result;
 }
 
 ActiveSurfaceResult deform_to_distance_field(const mesh::TriSurface& initial,
                                              const ImageF& signed_distance,
-                                             const ActiveSurfaceConfig& config) {
+                                             const ActiveSurfaceConfig& config,
+                                             par::Communicator* comm) {
   // potential = ½ d²: gradient = d ∇d, zero exactly on the target surface,
   // monotonically increasing away from it — a global basin of attraction.
-  ImageF potential(signed_distance.dims(), 0.0f, signed_distance.spacing(),
-                   signed_distance.origin());
-  for (std::size_t i = 0; i < potential.size(); ++i) {
-    const double d = static_cast<double>(signed_distance.data()[i]);
-    potential.data()[i] = static_cast<float>(0.5 * d * d);
-  }
-  ActiveSurfaceResult result = run(initial, potential, config);
+  // Each voxel's potential is rounded to float, as an image of it would hold.
+  const auto half_squared = [](float d) {
+    const auto dd = static_cast<double>(d);
+    return static_cast<double>(static_cast<float>(0.5 * dd * dd));
+  };
+  ActiveSurfaceResult result = run(
+      initial, signed_distance,
+      [&](const Vec3& v) { return sample_trilinear(signed_distance, v, half_squared); },
+      config, comm);
   // Report the residual in distance units rather than potential units.
-  double abs_d = 0.0;
-  for (const auto& v : result.surface.vertices) {
-    abs_d += std::abs(sample_physical(signed_distance, v));
-  }
-  result.mean_abs_potential = abs_d / static_cast<double>(result.surface.vertices.size());
+  result.mean_abs_potential = mean_abs_at_vertices(result.surface, signed_distance);
   return result;
 }
 

@@ -27,6 +27,7 @@
 #include "image/image3d.h"
 #include "mesh/tet_mesh.h"
 #include "mesh/tri_surface.h"
+#include "par/communicator.h"
 
 namespace neuro::surface {
 
@@ -50,15 +51,25 @@ struct ActiveSurfaceResult {
 /// Deforms `initial` down the gradient of `potential` (physical-space
 /// trilinear samples) with membrane regularization. The minima of the
 /// potential are the attractor surface.
+///
+/// The update is Jacobi-style: an iteration moves every vertex from the
+/// previous iteration's positions. With a communicator the call is
+/// collective: each rank moves a contiguous block of vertices, the ranks
+/// gather every vertex's new position and step length, and each sums the
+/// step lengths in vertex order for the stop test. Every rank returns the
+/// serial result bit for bit, iteration count included, at any rank count.
 ActiveSurfaceResult deform_to_potential(const mesh::TriSurface& initial,
                                         const ImageF& potential,
-                                        const ActiveSurfaceConfig& config);
+                                        const ActiveSurfaceConfig& config,
+                                        par::Communicator* comm = nullptr);
 
 /// Deforms `initial` onto the zero level set of a signed distance field
-/// (potential = ½ d², force = −d ∇d).
+/// (potential = ½ d², force = −d ∇d, sampled from the distance field without
+/// a potential image). Collective with a communicator, as above.
 ActiveSurfaceResult deform_to_distance_field(const mesh::TriSurface& initial,
                                              const ImageF& signed_distance,
-                                             const ActiveSurfaceConfig& config);
+                                             const ActiveSurfaceConfig& config,
+                                             par::Communicator* comm = nullptr);
 
 /// The paper's image-derived potential: small where the gradient magnitude is
 /// large *and* the local intensity matches the expected gray level of the

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include "base/rng.h"
 #include "image/distance.h"
+#include "par/communicator.h"
 
 namespace neuro {
 namespace {
@@ -119,6 +122,212 @@ TEST_P(EdtPropertyTest, MatchesBruteForceOnRandomVolumes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomVolumes, EdtPropertyTest, ::testing::Range(0, 12));
+
+// The serial transform that the rank-split passes replaced, kept verbatim as
+// the bit-exactness reference: per-line vectors, the x, y and z passes over
+// the whole grid, then a finalize pass.
+namespace reference {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+void edt_1d(std::vector<double>& f, std::vector<double>& scratch_v,
+            std::vector<double>& scratch_z, double step) {
+  const int n = static_cast<int>(f.size());
+  auto& v = scratch_v;
+  auto& z = scratch_z;
+  v.assign(static_cast<std::size_t>(n), 0.0);
+  z.assign(static_cast<std::size_t>(n) + 1, 0.0);
+  const double s2 = step * step;
+  int q0 = 0;
+  while (q0 < n && f[static_cast<std::size_t>(q0)] == kInf) ++q0;
+  if (q0 == n) return;
+  int k = 0;
+  v[0] = q0;
+  z[0] = -kInf;
+  z[1] = kInf;
+  for (int q = q0 + 1; q < n; ++q) {
+    if (f[static_cast<std::size_t>(q)] == kInf) continue;
+    double s;
+    while (true) {
+      const int p = static_cast<int>(v[static_cast<std::size_t>(k)]);
+      s = ((f[static_cast<std::size_t>(q)] + s2 * q * q) -
+           (f[static_cast<std::size_t>(p)] + s2 * p * p)) /
+          (2.0 * s2 * (q - p));
+      if (s <= z[static_cast<std::size_t>(k)] && k > 0) {
+        --k;
+      } else {
+        break;
+      }
+    }
+    ++k;
+    v[static_cast<std::size_t>(k)] = q;
+    z[static_cast<std::size_t>(k)] = s;
+    z[static_cast<std::size_t>(k) + 1] = kInf;
+  }
+  int kk = 0;
+  std::vector<double> out(static_cast<std::size_t>(n));
+  for (int q = 0; q < n; ++q) {
+    while (z[static_cast<std::size_t>(kk) + 1] < q) ++kk;
+    const int p = static_cast<int>(v[static_cast<std::size_t>(kk)]);
+    out[static_cast<std::size_t>(q)] =
+        s2 * (q - p) * (q - p) + f[static_cast<std::size_t>(p)];
+  }
+  f = std::move(out);
+}
+
+void edt_3d(Image3D<double>& sq) {
+  const IVec3 d = sq.dims();
+  const Vec3 h = sq.spacing();
+  std::vector<double> line, sv, sz;
+  line.resize(static_cast<std::size_t>(d.x));
+  for (int k = 0; k < d.z; ++k) {
+    for (int j = 0; j < d.y; ++j) {
+      bool any = false;
+      for (int i = 0; i < d.x; ++i) {
+        line[static_cast<std::size_t>(i)] = sq(i, j, k);
+        any = any || sq(i, j, k) < kInf;
+      }
+      if (!any) continue;
+      edt_1d(line, sv, sz, h.x);
+      for (int i = 0; i < d.x; ++i) sq(i, j, k) = line[static_cast<std::size_t>(i)];
+    }
+  }
+  line.resize(static_cast<std::size_t>(d.y));
+  for (int k = 0; k < d.z; ++k) {
+    for (int i = 0; i < d.x; ++i) {
+      bool any = false;
+      for (int j = 0; j < d.y; ++j) {
+        line[static_cast<std::size_t>(j)] = sq(i, j, k);
+        any = any || sq(i, j, k) < kInf;
+      }
+      if (!any) continue;
+      edt_1d(line, sv, sz, h.y);
+      for (int j = 0; j < d.y; ++j) sq(i, j, k) = line[static_cast<std::size_t>(j)];
+    }
+  }
+  line.resize(static_cast<std::size_t>(d.z));
+  for (int j = 0; j < d.y; ++j) {
+    for (int i = 0; i < d.x; ++i) {
+      bool any = false;
+      for (int k = 0; k < d.z; ++k) {
+        line[static_cast<std::size_t>(k)] = sq(i, j, k);
+        any = any || sq(i, j, k) < kInf;
+      }
+      if (!any) continue;
+      edt_1d(line, sv, sz, h.z);
+      for (int k = 0; k < d.z; ++k) sq(i, j, k) = line[static_cast<std::size_t>(k)];
+    }
+  }
+}
+
+ImageF finalize(Image3D<double>& sq, double saturation) {
+  ImageF out(sq.dims(), 0.0f, sq.spacing(), sq.origin());
+  for (std::size_t i = 0; i < sq.size(); ++i) {
+    double dist = sq.data()[i] == kInf ? (saturation > 0 ? saturation : 1e30)
+                                       : std::sqrt(sq.data()[i]);
+    if (saturation > 0.0) dist = std::min(dist, saturation);
+    out.data()[i] = static_cast<float>(dist);
+  }
+  return out;
+}
+
+template <typename Pred>
+ImageF edt_where(const ImageL& labels, Pred is_feature, double saturation) {
+  Image3D<double> sq(labels.dims(), kInf, labels.spacing(), labels.origin());
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    if (is_feature(labels.data()[i])) sq.data()[i] = 0.0;
+  }
+  edt_3d(sq);
+  return finalize(sq, saturation);
+}
+
+ImageF distance_to_label(const ImageL& labels, std::uint8_t label, double saturation) {
+  return edt_where(labels, [label](std::uint8_t v) { return v == label; }, saturation);
+}
+
+ImageF signed_distance_to_label(const ImageL& labels, std::uint8_t label,
+                                double saturation) {
+  ImageF outside =
+      edt_where(labels, [label](std::uint8_t v) { return v == label; }, saturation);
+  ImageF inside =
+      edt_where(labels, [label](std::uint8_t v) { return v != label; }, saturation);
+  ImageF out(labels.dims(), 0.0f, labels.spacing(), labels.origin());
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    out.data()[i] = outside.data()[i] - inside.data()[i];
+  }
+  return out;
+}
+
+}  // namespace reference
+
+bool bitwise_equal(const ImageF& a, const ImageF& b) {
+  return a.same_grid(b) &&
+         std::memcmp(a.data().data(), b.data().data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Labels 0-3 on uneven grids, sparse enough in label 1 that many lines of
+/// every axis hold none of it. One line along each axis is all label 1, so
+/// for signed_distance_to_label's inside transform it is a line with no
+/// feature.
+std::vector<ImageL> rank_test_volumes() {
+  std::vector<ImageL> volumes;
+  Rng rng(23);
+  for (const IVec3 d : {IVec3{1, 1, 1}, IVec3{2, 3, 5}, IVec3{13, 7, 10}, IVec3{9, 17, 6},
+                        IVec3{21, 19, 23}}) {
+    ImageL labels(d, 0, {1.0, 1.5, 2.5}, {-3.0, 2.0, 7.0});
+    for (auto& v : labels.data()) {
+      const double u = rng.uniform();
+      v = u < 0.04 ? 1 : (u < 0.07 ? 2 : (u < 0.5 ? 3 : 0));
+    }
+    for (int i = 0; i < d.x; ++i) labels(i, 0, 0) = 1;
+    for (int j = 0; j < d.y; ++j) labels(d.x - 1, j, d.z - 1) = 1;
+    for (int k = 0; k < d.z; ++k) labels(0, d.y - 1, k) = 1;
+    volumes.push_back(std::move(labels));
+  }
+  return volumes;
+}
+
+TEST(EdtTest, SerialMatchesReferenceLoopBitwise) {
+  for (const ImageL& labels : rank_test_volumes()) {
+    for (const std::uint8_t label : {0, 1, 2, 3, 9}) {
+      for (const double saturation : {0.0, 4.0}) {
+        SCOPED_TRACE(testing::Message() << "dims " << labels.dims() << " label "
+                                        << int{label} << " saturation " << saturation);
+        EXPECT_TRUE(bitwise_equal(distance_to_label(labels, label, saturation),
+                                  reference::distance_to_label(labels, label, saturation)));
+        EXPECT_TRUE(
+            bitwise_equal(signed_distance_to_label(labels, label, saturation),
+                          reference::signed_distance_to_label(labels, label, saturation)));
+      }
+    }
+  }
+}
+
+TEST(EdtTest, RankInvariantMatchesReferenceAtOneToFourRanks) {
+  // Grids thinner than the rank count leave ranks with no planes or rows;
+  // the other grids split unevenly. Label 9 is absent (no feature anywhere).
+  for (const ImageL& labels : rank_test_volumes()) {
+    for (const std::uint8_t label : {1, 3, 9}) {
+      const double saturation = label == 3 ? 0.0 : 4.0;
+      const ImageF want = reference::distance_to_label(labels, label, saturation);
+      const ImageF want_signed =
+          reference::signed_distance_to_label(labels, label, saturation);
+      for (int nranks = 1; nranks <= 4; ++nranks) {
+        SCOPED_TRACE(testing::Message() << "dims " << labels.dims() << " label "
+                                        << int{label} << " ranks " << nranks);
+        ImageF out(labels.dims(), -1.0f, labels.spacing(), labels.origin());
+        ImageF out_signed = out;
+        Image3D<double> squared(labels.dims(), 0.0, labels.spacing(), labels.origin());
+        par::run_spmd(nranks, [&](par::Communicator& comm) {
+          distance_to_label(labels, label, saturation, out, squared, &comm);
+          signed_distance_to_label(labels, label, saturation, out_signed, squared, &comm);
+        });
+        EXPECT_TRUE(bitwise_equal(out, want));
+        EXPECT_TRUE(bitwise_equal(out_signed, want_signed));
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace neuro

@@ -14,6 +14,7 @@
 #include "image/image3d.h"
 #include "image/io.h"
 #include "image/transform.h"
+#include "par/communicator.h"
 #include "phantom/brain_phantom.h"
 #include "reg/rigid_registration.h"
 
@@ -207,6 +208,32 @@ TEST(GaussianTest, BitIdenticalOnGridsSmallerThanTheKernel) {
   }
 }
 
+TEST(GaussianTest, RankInvariantMatchesPerVoxelLoopAtOneToFourRanks) {
+  // Uneven z and y splits, and grids with fewer planes or rows than ranks.
+  // Each grid is smoothed into a separate output and in place.
+  Rng rng(7);
+  for (const IVec3 dims : {IVec3{1, 1, 1}, IVec3{2, 3, 5}, IVec3{7, 1, 4}, IVec3{37, 30, 23},
+                           IVec3{300, 3, 6}}) {
+    ImageF img(dims, 0.0f, {2.0, 1.0, 3.0}, {5.0, -4.0, 1.0});
+    for (auto& v : img.data()) v = static_cast<float>(rng.uniform(-50, 150));
+    for (const double sigma : kReferenceSigmas) {
+      const ImageF want = reference_gaussian_smooth(img, sigma);
+      for (int nranks = 1; nranks <= 4; ++nranks) {
+        SCOPED_TRACE(testing::Message() << "dims " << dims << " sigma " << sigma << " ranks "
+                                        << nranks);
+        ImageF out(dims, -1.0f, img.spacing(), img.origin());
+        ImageF in_place = img;
+        par::run_spmd(nranks, [&](par::Communicator& comm) {
+          gaussian_smooth(img, sigma, out, &comm);
+          gaussian_smooth(in_place, sigma, in_place, &comm);
+        });
+        EXPECT_TRUE(bitwise_equal(out, want));
+        EXPECT_TRUE(bitwise_equal(in_place, want));
+      }
+    }
+  }
+}
+
 TEST(GradientTest, LinearRampGivesConstantGradient) {
   ImageF img({8, 8, 8}, 0.0f, {2.0, 1.0, 1.0});
   for (int k = 0; k < 8; ++k)
@@ -392,6 +419,91 @@ TEST(ResampleTest, LabelsUseNearestNeighbour) {
   t.translation = {0.4, 0, 0};
   const ImageL out = resample_rigid_labels(img, img, t);
   EXPECT_EQ(out.at(3, 3, 3), 7);  // 3.4 rounds back to 3
+}
+
+// The serial resample loops that the z-slab forms replaced, kept verbatim as
+// the bit-exactness references.
+ImageF reference_resample_rigid(const ImageF& moving, const ImageF& fixed_grid,
+                                const RigidTransform& transform, float outside) {
+  ImageF out(fixed_grid.dims(), outside, fixed_grid.spacing(), fixed_grid.origin());
+  const IVec3 d = out.dims();
+  const IVec3 md = moving.dims();
+  const Mat3 R = transform.rotation_matrix();
+  for (int k = 0; k < d.z; ++k) {
+    for (int j = 0; j < d.y; ++j) {
+      for (int i = 0; i < d.x; ++i) {
+        const Vec3 p_fixed = out.voxel_to_physical(i, j, k);
+        const Vec3 p_moving = transform.apply(R, p_fixed);
+        const Vec3 v = moving.physical_to_voxel(p_moving);
+        if (v.x < 0 || v.y < 0 || v.z < 0 || v.x > md.x - 1 || v.y > md.y - 1 ||
+            v.z > md.z - 1) {
+          continue;
+        }
+        out(i, j, k) = static_cast<float>(sample_trilinear(moving, v));
+      }
+    }
+  }
+  return out;
+}
+
+ImageL reference_resample_rigid_labels(const ImageL& moving, const ImageL& fixed_grid,
+                                       const RigidTransform& transform,
+                                       std::uint8_t outside) {
+  ImageL out(fixed_grid.dims(), outside, fixed_grid.spacing(), fixed_grid.origin());
+  const IVec3 d = out.dims();
+  const IVec3 md = moving.dims();
+  const Mat3 R = transform.rotation_matrix();
+  for (int k = 0; k < d.z; ++k) {
+    for (int j = 0; j < d.y; ++j) {
+      for (int i = 0; i < d.x; ++i) {
+        const Vec3 p_fixed = out.voxel_to_physical(i, j, k);
+        const Vec3 p_moving = transform.apply(R, p_fixed);
+        const Vec3 v = moving.physical_to_voxel(p_moving);
+        const int ii = static_cast<int>(v.x + 0.5);
+        const int jj = static_cast<int>(v.y + 0.5);
+        const int kk = static_cast<int>(v.z + 0.5);
+        if (ii < 0 || jj < 0 || kk < 0 || ii >= md.x || jj >= md.y || kk >= md.z) {
+          continue;
+        }
+        out(i, j, k) = moving(ii, jj, kk);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(ResampleTest, RankInvariantMatchesReferenceLoopAtOneToFourRanks) {
+  // A rotated, shifted transform maps part of each fixed grid outside the
+  // moving volume, so both the sampled and the `outside` branches run.
+  phantom::PhantomConfig pc;
+  pc.dims = {27, 22, 19};
+  pc.spacing = {3.0, 3.5, 4.0};
+  const auto cas = phantom::make_case(pc, phantom::ShiftConfig{});
+  RigidTransform t;
+  t.rotation = {0.05, -0.08, 0.12};
+  t.translation = {6.0, -4.5, 9.0};
+  t.center = {40.0, 38.0, 35.0};
+  for (const IVec3 dims : {IVec3{1, 1, 1}, IVec3{2, 3, 5}, IVec3{25, 24, 17}}) {
+    const ImageF fixed(dims, 0.0f, {3.2, 3.1, 4.5}, {-2.0, 1.0, 0.5});
+    const ImageL fixed_labels(dims, 0, fixed.spacing(), fixed.origin());
+    const ImageF want = reference_resample_rigid(cas.preop, fixed, t, -7.0f);
+    const ImageL want_labels =
+        reference_resample_rigid_labels(cas.preop_labels, fixed_labels, t, 200);
+    EXPECT_TRUE(bitwise_equal(resample_rigid(cas.preop, fixed, t, -7.0f), want));
+    EXPECT_EQ(resample_rigid_labels(cas.preop_labels, fixed_labels, t, 200).data(),
+              want_labels.data());
+    for (int nranks = 1; nranks <= 4; ++nranks) {
+      SCOPED_TRACE(testing::Message() << "dims " << dims << " ranks " << nranks);
+      ImageF out(dims, 0.0f, fixed.spacing(), fixed.origin());
+      ImageL out_labels(dims, 0, fixed.spacing(), fixed.origin());
+      par::run_spmd(nranks, [&](par::Communicator& comm) {
+        resample_rigid(cas.preop, t, -7.0f, out, &comm);
+        resample_rigid_labels(cas.preop_labels, t, 200, out_labels, &comm);
+      });
+      EXPECT_TRUE(bitwise_equal(out, want));
+      EXPECT_EQ(out_labels.data(), want_labels.data());
+    }
+  }
 }
 
 TEST(DownsampleTest, HalvesDimsPreservesMean) {

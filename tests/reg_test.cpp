@@ -239,6 +239,40 @@ TEST(RigidRegistrationTest, RankInvariantAtOneTwoFourRanks) {
   }
 }
 
+TEST(RegistrationPyramidTest, RankInvariantAtOneToFourRanks) {
+  // The smoothing splits z planes and y rows, the downsampling output planes:
+  // 3 ranks split the 28-plane grid unevenly, and the third level (7 planes)
+  // leaves a 4th rank one plane. Sigma 0 copies the inputs' slabs instead.
+  const auto cas = offset_case(28);
+  for (const double sigma : {1.0, 0.0}) {
+    for (const int levels : {1, 3}) {
+      RigidRegistrationConfig rcfg;
+      rcfg.metric_smoothing_sigma = sigma;
+      rcfg.pyramid_levels = levels;
+      const RegistrationPyramid serial =
+          build_registration_pyramid(cas.intraop, cas.preop, rcfg);
+      ASSERT_EQ(serial.fixed.size(), static_cast<std::size_t>(levels));
+      for (int nranks = 1; nranks <= 4; ++nranks) {
+        RegistrationPyramid pyr = registration_pyramid_grids(cas.intraop, cas.preop, rcfg);
+        par::run_spmd(nranks, [&](par::Communicator& comm) {
+          build_registration_pyramid(cas.intraop, cas.preop, rcfg, pyr, &comm);
+        });
+        for (std::size_t l = 0; l < serial.fixed.size(); ++l) {
+          for (const auto& [got, want] : {std::pair{&pyr.fixed[l], &serial.fixed[l]},
+                                          std::pair{&pyr.moving[l], &serial.moving[l]}}) {
+            ASSERT_TRUE(got->same_grid(*want));
+            EXPECT_EQ(std::memcmp(got->data().data(), want->data().data(),
+                                  want->size() * sizeof(float)),
+                      0)
+                << "sigma " << sigma << " ranks " << nranks << " level " << l;
+          }
+        }
+        EXPECT_TRUE(std::memcmp(&pyr.center, &serial.center, sizeof(Vec3)) == 0);
+      }
+    }
+  }
+}
+
 // MiSampler::evaluate's per-sample loop before the moving grid's geometry was
 // hoisted and sample_trilinear's clamps dropped, kept verbatim (serial, over
 // every sampled fixed voxel) as the bit-exactness reference.

@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
+#include <memory>
 
 #include "base/check.h"
 #include "obs/trace.h"
@@ -509,6 +511,37 @@ TEST_F(IntraopSegTest, ParallelDriverMatchesSerial) {
     if (comm.rank() == 0) parallel = seg.labels;
   });
   EXPECT_EQ(parallel.data(), serial.labels.data());
+}
+
+TEST_F(IntraopSegTest, LocalizationRankInvariantAtOneToFourRanks) {
+  const auto cfg = config();
+  const ImageL& labels = case_->preop_labels;
+  const FeatureStack serial = build_localization_channels(labels, cfg);
+  ASSERT_EQ(serial.channels(), cfg.classes.size());
+  for (int nranks = 1; nranks <= 4; ++nranks) {
+    std::vector<std::shared_ptr<ImageF>> channels;
+    for (std::size_t c = 0; c < cfg.classes.size(); ++c) {
+      channels.push_back(std::make_shared<ImageF>(labels.dims(), 0.0f, labels.spacing(),
+                                                  labels.origin()));
+    }
+    Image3D<double> squared(labels.dims(), 0.0, labels.spacing(), labels.origin());
+    std::vector<FeatureStack> per_rank(static_cast<std::size_t>(nranks));
+    par::run_spmd(nranks, [&](par::Communicator& comm) {
+      per_rank[static_cast<std::size_t>(comm.rank())] =
+          build_localization_channels(labels, cfg, channels, squared, &comm);
+    });
+    for (const FeatureStack& stack : per_rank) {
+      ASSERT_EQ(stack.channels(), serial.channels());
+      for (std::size_t c = 0; c < stack.channels(); ++c) {
+        EXPECT_EQ(&stack.channel(c), channels[c].get());
+        EXPECT_EQ(stack.weight(c), serial.weight(c));
+        EXPECT_EQ(std::memcmp(stack.channel(c).data().data(), serial.channel(c).data().data(),
+                              serial.channel(c).size() * sizeof(float)),
+                  0)
+            << "ranks " << nranks << " channel " << c;
+      }
+    }
+  }
 }
 
 TEST_F(IntraopSegTest, ExcludedClassesNeverAppear) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -34,7 +35,14 @@ TEST(ShiftProgressTest, ScalesAmplitudes) {
   EXPECT_TRUE(at_full.resect_tumor);
   EXPECT_DOUBLE_EQ(at_full.resection_collapse_mm, 3.0);
 
-  EXPECT_THROW(phantom::shift_at_progress(final_shift, 1.5), CheckError);
+  for (const double bad : {1.5, 1.0000000000000002, -0.0001, std::nan("")}) {
+    try {
+      (void)phantom::shift_at_progress(final_shift, bad);
+      ADD_FAILURE() << "progress " << bad << " accepted";
+    } catch (const base::StatusError& e) {
+      EXPECT_EQ(e.status().code(), base::StatusCode::kInvalidArgument) << bad;
+    }
+  }
 }
 
 TEST(CaseSequenceTest, SharedPreopIndependentIntraop) {

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "base/check.h"
 #include "image/distance.h"
 #include "image/filters.h"
 #include "mesh/mesher.h"
 #include "mesh/tri_surface.h"
+#include "par/communicator.h"
 #include "surface/active_surface.h"
 
 namespace neuro::surface {
@@ -120,6 +123,166 @@ TEST(ActiveSurfaceTest, RejectsEmptySurface) {
   mesh::TriSurface empty;
   ImageF flat({4, 4, 4});
   EXPECT_THROW(deform_to_potential(empty, flat, ActiveSurfaceConfig{}), CheckError);
+}
+
+// The serial active surface that the vertex-block form replaced, kept
+// verbatim as the bit-exactness reference: a materialized ½ d² potential
+// image, a `next` buffer swapped per iteration, and the motion summed in the
+// update loop.
+namespace reference {
+
+Vec3 potential_gradient(const ImageF& potential, const Vec3& p) {
+  const Vec3 v = potential.physical_to_voxel(p);
+  const Vec3 sp = potential.spacing();
+  auto s = [&](double dx, double dy, double dz) {
+    return sample_trilinear(potential, {v.x + dx, v.y + dy, v.z + dz});
+  };
+  return {(s(0.5, 0, 0) - s(-0.5, 0, 0)) / sp.x,
+          (s(0, 0.5, 0) - s(0, -0.5, 0)) / sp.y,
+          (s(0, 0, 0.5) - s(0, 0, -0.5)) / sp.z};
+}
+
+ActiveSurfaceResult run(const mesh::TriSurface& initial, const ImageF& potential,
+                        const ActiveSurfaceConfig& config) {
+  ActiveSurfaceResult result;
+  result.surface = initial;
+  const auto adjacency = mesh::surface_adjacency(initial);
+  auto& verts = result.surface.vertices;
+  base::IdVector<mesh::VertId, Vec3> next(verts.size());
+  for (int it = 0; it < config.max_iterations; ++it) {
+    double total_motion = 0.0;
+    for (const mesh::VertId v : verts.ids()) {
+      const Vec3& x = verts[v];
+      const Vec3 ext = -1.0 * potential_gradient(potential, x);
+      Vec3 lap{};
+      const auto& nbrs = adjacency[v];
+      if (!nbrs.empty()) {
+        for (const mesh::VertId n : nbrs) lap += verts[n];
+        lap = lap / static_cast<double>(nbrs.size()) - x;
+      }
+      Vec3 dx = config.step * (config.force_scale * ext + config.tension * lap);
+      const double len = norm(dx);
+      if (len > config.max_step_mm) dx *= config.max_step_mm / len;
+      next[v] = x + dx;
+      total_motion += norm(dx);
+    }
+    verts.swap(next);
+    ++result.iterations;
+    result.final_mean_motion_mm = total_motion / static_cast<double>(verts.size());
+    if (result.final_mean_motion_mm < config.convergence_mm) break;
+  }
+  result.displacements.resize(verts.size());
+  double abs_pot = 0.0;
+  for (const mesh::VertId v : verts.ids()) {
+    result.displacements[v] = verts[v] - initial.vertices[v];
+    abs_pot += std::abs(sample_physical(potential, verts[v]));
+  }
+  result.mean_abs_potential = abs_pot / static_cast<double>(verts.size());
+  return result;
+}
+
+ActiveSurfaceResult deform_to_distance_field(const mesh::TriSurface& initial,
+                                             const ImageF& signed_distance,
+                                             const ActiveSurfaceConfig& config) {
+  ImageF potential(signed_distance.dims(), 0.0f, signed_distance.spacing(),
+                   signed_distance.origin());
+  for (std::size_t i = 0; i < potential.size(); ++i) {
+    const double d = static_cast<double>(signed_distance.data()[i]);
+    potential.data()[i] = static_cast<float>(0.5 * d * d);
+  }
+  ActiveSurfaceResult result = run(initial, potential, config);
+  double abs_d = 0.0;
+  for (const auto& v : result.surface.vertices) {
+    abs_d += std::abs(sample_physical(signed_distance, v));
+  }
+  result.mean_abs_potential = abs_d / static_cast<double>(result.surface.vertices.size());
+  return result;
+}
+
+}  // namespace reference
+
+template <typename T>
+bool same_bits(const T& a, const T& b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+bool bitwise_equal(const ActiveSurfaceResult& a, const ActiveSurfaceResult& b) {
+  if (a.iterations != b.iterations || !same_bits(a.final_mean_motion_mm, b.final_mean_motion_mm) ||
+      !same_bits(a.mean_abs_potential, b.mean_abs_potential) ||
+      a.surface.vertices.size() != b.surface.vertices.size() ||
+      a.displacements.size() != b.displacements.size()) {
+    return false;
+  }
+  for (const mesh::VertId v : a.surface.vertices.ids()) {
+    if (!same_bits(a.surface.vertices[v], b.surface.vertices[v]) ||
+        !same_bits(a.displacements[v], b.displacements[v])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(ActiveSurfaceTest, RankInvariantMatchesReferenceLoopAtOneToFourRanks) {
+  // Vertex blocks split unevenly at 3 ranks; the 4-vertex surface leaves no
+  // more than one vertex per rank. One run stops early at the convergence
+  // test, one runs out its iteration budget, one uses the potential form.
+  const Vec3 c{12, 12, 12};
+  const mesh::TriSurface ball = ball_surface(25, 10.0, c);
+  const ImageF sdf = signed_distance_to_label(ball_mask(25, 7.0, c), 1, 20.0);
+  mesh::TriSurface tetra;
+  for (const Vec3 p : {Vec3{10, 10, 10}, Vec3{15, 10, 11}, Vec3{11, 16, 9}, Vec3{12, 11, 15}}) {
+    tetra.vertices.push_back(p);
+  }
+  tetra.triangles = {{mesh::VertId{0}, mesh::VertId{2}, mesh::VertId{1}},
+                     {mesh::VertId{0}, mesh::VertId{1}, mesh::VertId{3}},
+                     {mesh::VertId{1}, mesh::VertId{2}, mesh::VertId{3}},
+                     {mesh::VertId{0}, mesh::VertId{3}, mesh::VertId{2}}};
+  ActiveSurfaceConfig converge;
+  ActiveSurfaceConfig budget;
+  budget.max_iterations = 7;
+  budget.convergence_mm = 0.0;
+
+  struct Case {
+    const char* name;
+    const mesh::TriSurface* surface;
+    ActiveSurfaceConfig config;
+  };
+  for (const Case& cs : {Case{"ball converges", &ball, converge},
+                         Case{"ball budget", &ball, budget},
+                         Case{"tetra converges", &tetra, converge}}) {
+    const ActiveSurfaceResult want =
+        reference::deform_to_distance_field(*cs.surface, sdf, cs.config);
+    if (cs.config.convergence_mm > 0.0) {
+      EXPECT_LT(want.iterations, cs.config.max_iterations) << cs.name;
+    } else {
+      EXPECT_EQ(want.iterations, cs.config.max_iterations) << cs.name;
+    }
+    const ImageF potential = [&] {
+      ImageF p = sdf;
+      for (auto& v : p.data()) v = std::abs(v);
+      return p;
+    }();
+    const ActiveSurfaceResult want_potential =
+        reference::run(*cs.surface, potential, cs.config);
+    EXPECT_TRUE(bitwise_equal(deform_to_distance_field(*cs.surface, sdf, cs.config), want))
+        << cs.name;
+    for (int nranks = 1; nranks <= 4; ++nranks) {
+      std::vector<ActiveSurfaceResult> per_rank(static_cast<std::size_t>(nranks));
+      std::vector<ActiveSurfaceResult> per_rank_potential(static_cast<std::size_t>(nranks));
+      par::run_spmd(nranks, [&](par::Communicator& comm) {
+        const auto r = static_cast<std::size_t>(comm.rank());
+        per_rank[r] = deform_to_distance_field(*cs.surface, sdf, cs.config, &comm);
+        per_rank_potential[r] = deform_to_potential(*cs.surface, potential, cs.config, &comm);
+      });
+      for (int r = 0; r < nranks; ++r) {
+        EXPECT_TRUE(bitwise_equal(per_rank[static_cast<std::size_t>(r)], want))
+            << cs.name << " ranks " << nranks << " rank " << r;
+        EXPECT_TRUE(bitwise_equal(per_rank_potential[static_cast<std::size_t>(r)],
+                                  want_potential))
+            << cs.name << " potential, ranks " << nranks << " rank " << r;
+      }
+    }
+  }
 }
 
 TEST(EdgePotentialTest, MinimaOnMatchingEdges) {
