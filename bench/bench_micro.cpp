@@ -8,6 +8,7 @@
 
 #include "base/rng.h"
 #include "core/deformation_field.h"
+#include "core/pipeline.h"
 #include "fem/assembly.h"
 #include "fem/boundary.h"
 #include "fem/deformation_solver.h"
@@ -147,25 +148,23 @@ void BM_MiSamplerEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_MiSamplerEvaluate)->Unit(benchmark::kMillisecond);
 
+// k-NN classification of the Fig. 6 intraoperative scan in the pipeline's
+// feature space (default seg config) on state.range(0) ranks; each iteration
+// is one rank region.
 void BM_KnnClassifyVolume(benchmark::State& state) {
-  const auto& cas = shared_case();
-  seg::IntraopSegmentationConfig cfg;
-  cfg.classes = {0, 1, 2, 3, 4};
-  cfg.exclude_classes = {5, 6};
-  cfg.dt_saturation_mm = 10.0;
-  cfg.dt_weight = 1.5;
+  const auto& cas = fig6_case();
+  const int nranks = static_cast<int>(state.range(0));
+  const seg::IntraopSegmentationConfig cfg = core::default_pipeline_config().seg;
   const seg::FeatureStack stack =
       seg::build_feature_stack(cas.intraop, cas.preop_labels, cfg);
-  Rng rng(1);
-  const seg::KnnClassifier knn(
-      seg::select_prototypes_robust(cas.preop_labels, stack, cfg.prototypes_per_class,
-                                    rng, cfg.exclude_classes, 6.0, 4.0),
-      cfg.k);
+  const seg::KnnClassifier knn(seg::model_prototypes(stack, cas.preop_labels, cfg), cfg.k);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(knn.classify_volume(stack));
+    par::run_spmd(nranks, [&](par::Communicator& comm) {
+      benchmark::DoNotOptimize(knn.classify_volume_parallel(stack, comm));
+    });
   }
-  // One traced pass outside the timed loop: its seg.knn span carries the
-  // number of prototype distances the k-d tree search evaluated.
+  // One traced pass outside the timed loop: its seg.knn spans carry the
+  // prototype rows the block search measured.
   obs::global().clear();
   obs::global().set_enabled(true);
   benchmark::DoNotOptimize(knn.classify_volume(stack));
@@ -184,7 +183,12 @@ void BM_KnnClassifyVolume(benchmark::State& state) {
       voxels, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
   state.counters["evals_per_voxel"] = evals / voxels;
 }
-BENCHMARK(BM_KnnClassifyVolume)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KnnClassifyVolume)
+    ->Arg(1)
+    ->Arg(2)
+    ->ArgName("ranks")
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_MeshLabeledVolume(benchmark::State& state) {
   const auto& cas = shared_case();

@@ -1,6 +1,6 @@
 #include "seg/intraop.h"
 
-#include <algorithm>
+#include <array>
 
 #include "base/check.h"
 #include "base/rng.h"
@@ -94,11 +94,12 @@ IntraopSegmentation segment_intraop(const ImageF& scan, const ImageL& preop_labe
 }
 
 ImageL mask_of_labels(const ImageL& labels, const std::vector<std::uint8_t>& keep) {
+  std::array<std::uint8_t, 256> kept{};
+  for (const std::uint8_t l : keep) kept[l] = 1;
   ImageL mask(labels.dims(), 0, labels.spacing(), labels.origin());
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    const std::uint8_t l = labels.data()[i];
-    if (std::find(keep.begin(), keep.end(), l) != keep.end()) mask.data()[i] = 1;
-  }
+  const std::uint8_t* in = labels.data().data();
+  std::uint8_t* out = mask.data().data();
+  for (std::size_t i = 0; i < labels.size(); ++i) out[i] = kept[in[i]];
   return mask;
 }
 

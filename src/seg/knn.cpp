@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <iomanip>
 #include <limits>
@@ -200,32 +201,129 @@ void refresh_prototypes(std::vector<Prototype>& prototypes, const FeatureStack& 
   }
 }
 
-// Per-slab working memory of the voxel kernel: the running k smallest
-// distances, the prototypes the search measured, the replayed k-best list and
-// the vote tallies. The tallies are indexed by label and reset after every
-// voxel, touching only the labels voted for.
+// A subset of the prototypes in prototype order, as the bounds read them: the
+// prototype numbers, their channel-0 features and their localization terms
+// against the current group's tuple. Columns have a stride of the prototype
+// count, so a subset fits in the storage of the full set.
+struct KnnClassifier::Rows {
+  Rows(std::size_t channels, std::size_t prototypes)
+      : ids(prototypes), r0(prototypes), terms((channels - 1) * prototypes) {}
+
+  std::size_t size = 0;
+  std::vector<std::uint32_t> ids;
+  std::vector<double> r0;
+  std::vector<double> terms;  ///< channel c ≥ 1 of row q at (c − 1) · stride + q
+};
+
+// Per-call working memory of the block kernel, sized by the prototypes: all
+// prototypes and the candidates of each block being split as row sets, the
+// bounds and candidates of the current block, the k-best list and the vote
+// tallies. The tallies are indexed by label and reset after every voxel,
+// touching only the labels voted for.
 struct KnnClassifier::Scratch {
-  Scratch(int k, std::size_t prototypes)
-      : kth_best(std::min(static_cast<std::size_t>(k), prototypes)),
-        hits(kth_best.size()) {
-    candidates.reserve(prototypes);
+  explicit Scratch(const KnnClassifier& knn)
+      : channels(knn.channels_),
+        all(knn.channels_, knn.labels_.size()),
+        lower(knn.labels_.size()),
+        upper(knn.labels_.size()),
+        kth_upper(std::min(static_cast<std::size_t>(knn.k_), knn.labels_.size())),
+        hits(kth_upper.size()) {
+    const std::size_t n = knn.labels_.size();
+    all.size = n;
+    for (std::uint32_t p = 0; p < n; ++p) all.ids[p] = p;
+    std::copy(knn.columns_.begin(), knn.columns_.begin() + static_cast<long>(n),
+              all.r0.begin());
+    candidates.reserve(n);
   }
 
-  /// The k smallest distances measured so far, ascending, padded with +inf;
-  /// back() is the running k-th best.
-  std::vector<double> kth_best;
-  std::vector<Candidate> candidates;
+  /// The candidates kept by a block at depth d of the halving.
+  Rows& level(std::size_t d) {
+    if (levels.size() == d) levels.push_back(std::make_unique<Rows>(channels, all.size));
+    return *levels[d];
+  }
+
+  std::size_t channels;
+  Rows all;  ///< every prototype
+  std::vector<std::unique_ptr<Rows>> levels;
+  std::vector<double> lower;  ///< per row of the set being bounded
+  std::vector<double> upper;
+  std::vector<double> kth_upper;  ///< the k smallest upper bounds, ascending
+  std::vector<std::uint32_t> candidates;  ///< rows of that set, ascending
   std::vector<Hit> hits;
   std::array<int, 256> votes{};
   std::array<double, 256> weights{};
   std::array<std::uint8_t, 256> voted{};  ///< distinct labels among the hits
   std::int64_t distance_evals = 0;
+  std::int64_t blocks = 0;
+  std::int64_t uniform_voxels = 0;
 };
 
 namespace {
 
-// Rows per k-d tree leaf.
-constexpr std::uint32_t kLeafSize = 16;
+// z planes per chunk. Chunks are the unit dealt to ranks, so the blocks, and
+// the work counted, are the same at every rank count.
+constexpr int kChunkPlanes = 8;
+// Blocks of at most this many voxels take the per-voxel rule instead of halving.
+constexpr std::size_t kLeafVoxels = 4;
+// Channel-0 bins of a chunk's counting sort; a block's bounds use the exact
+// extremes of its voxels, so the bins only decide which voxels share a block.
+constexpr std::size_t kBins = 4096;
+constexpr std::uint32_t kNoGroup = std::numeric_limits<std::uint32_t>::max();
+
+std::uint32_t bits_of(float v) { return std::bit_cast<std::uint32_t>(v); }
+
+// Numbers the distinct bit tuples of channels 1..C−1 over voxels
+// [v0, v0 + n) in order of first appearance: group_of[i] is the group of voxel
+// v0 + i, first[g] the first voxel of group g. `table` is an open-addressing
+// hash of group numbers, grown as needed and reused from chunk to chunk.
+void assign_groups(const std::vector<const float*>& data, std::size_t v0, std::size_t n,
+                   std::uint32_t* group_of, std::vector<std::size_t>& first,
+                   std::vector<std::uint32_t>& table) {
+  const std::size_t channels = data.size();
+  auto same = [&](std::size_t a, std::size_t b) {
+    for (std::size_t c = 1; c < channels; ++c) {
+      if (bits_of(data[c][a]) != bits_of(data[c][b])) return false;
+    }
+    return true;
+  };
+  auto slot_of = [&](std::size_t v) {
+    std::uint64_t h = 0x9e3779b97f4a7c15u;
+    for (std::size_t c = 1; c < channels; ++c) {
+      h = (h ^ bits_of(data[c][v])) * 0xff51afd7ed558ccdu;
+    }
+    return static_cast<std::size_t>(h ^ (h >> 32)) & (table.size() - 1);
+  };
+  auto insert = [&](std::uint32_t g) {
+    std::size_t slot = slot_of(first[g]);
+    while (table[slot] != kNoGroup) slot = (slot + 1) & (table.size() - 1);
+    table[slot] = g;
+  };
+  first.clear();
+  std::fill(table.begin(), table.end(), kNoGroup);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t v = v0 + i;
+    if (i > 0 && same(v, v - 1)) {
+      group_of[i] = group_of[i - 1];
+      continue;
+    }
+    std::size_t slot = slot_of(v);
+    std::uint32_t g = table[slot];
+    while (g != kNoGroup && !same(first[g], v)) {
+      slot = (slot + 1) & (table.size() - 1);
+      g = table[slot];
+    }
+    if (g == kNoGroup) {
+      g = static_cast<std::uint32_t>(first.size());
+      first.push_back(v);
+      table[slot] = g;
+      if (2 * first.size() > table.size()) {  // keep the load at most 1/2
+        table.assign(2 * table.size(), kNoGroup);
+        for (std::uint32_t h = 0; h <= g; ++h) insert(h);
+      }
+    }
+    group_of[i] = g;
+  }
+}
 
 }  // namespace
 
@@ -236,155 +334,127 @@ KnnClassifier::KnnClassifier(const std::vector<Prototype>& prototypes, int k,
       voting_(voting) {
   NEURO_REQUIRE(k_ > 0, "KnnClassifier: k must be positive");
   NEURO_REQUIRE(!prototypes.empty(), "KnnClassifier: need at least one prototype");
-  NEURO_REQUIRE(prototypes.size() <= std::numeric_limits<std::int32_t>::max(),
+  NEURO_REQUIRE(channels_ > 0, "KnnClassifier: prototypes have no features");
+  NEURO_REQUIRE(prototypes.size() < std::numeric_limits<std::uint32_t>::max(),
                 "KnnClassifier: too many prototypes");
-  labels_.reserve(prototypes.size());
-  for (const auto& p : prototypes) {
-    NEURO_REQUIRE(p.features.size() == channels_,
+  const std::size_t n = prototypes.size();
+  labels_.reserve(n);
+  columns_.resize(n * channels_);
+  for (std::size_t p = 0; p < n; ++p) {
+    const Prototype& proto = prototypes[p];
+    NEURO_REQUIRE(proto.features.size() == channels_,
                   "KnnClassifier: inconsistent prototype feature sizes");
-    NEURO_REQUIRE(std::all_of(p.features.begin(), p.features.end(),
+    NEURO_REQUIRE(std::all_of(proto.features.begin(), proto.features.end(),
                               [](double v) { return std::isfinite(v); }),
                   "KnnClassifier: non-finite prototype feature");
-    labels_.push_back(p.label);
+    for (std::size_t c = 0; c < channels_; ++c) columns_[c * n + p] = proto.features[c];
+    labels_.push_back(proto.label);
   }
-  std::vector<std::uint32_t> order(prototypes.size());
-  for (std::uint32_t p = 0; p < order.size(); ++p) order[p] = p;
-  build_node(order, 0, static_cast<std::uint32_t>(order.size()), prototypes);
-  features_.reserve(prototypes.size() * channels_);
-  for (const std::uint32_t p : order) {
-    features_.insert(features_.end(), prototypes[p].features.begin(),
-                     prototypes[p].features.end());
-  }
-  row_prototype_ = std::move(order);
 }
 
-// Splits at the median of the widest channel of the node's bounding box. The
-// split only orders the search; pruning uses the tight boxes, so rows equal to
-// the split value may fall on either side. The (value, index) order makes the
-// tree the same on every platform.
-std::size_t KnnClassifier::build_node(std::vector<std::uint32_t>& order,
-                                      std::uint32_t begin, std::uint32_t end,
-                                      const std::vector<Prototype>& prototypes) {
-  const std::size_t node = nodes_.size();
-  nodes_.push_back({begin, end, -1, 0, 0.0});
-  const std::size_t box = boxes_.size();
-  boxes_.resize(box + 2 * channels_);
-  double* lo = boxes_.data() + box;
-  double* hi = lo + channels_;
-  const std::vector<double>& first = prototypes[order[begin]].features;
-  std::copy(first.begin(), first.end(), lo);
-  std::copy(first.begin(), first.end(), hi);
-  for (std::uint32_t r = begin + 1; r < end; ++r) {
-    const std::vector<double>& f = prototypes[order[r]].features;
-    for (std::size_t c = 0; c < channels_; ++c) {
-      lo[c] = std::min(lo[c], f[c]);
-      hi[c] = std::max(hi[c], f[c]);
-    }
-  }
-  std::size_t dim = 0;
+NEURO_BITEXACT
+void KnnClassifier::group_terms(const double* feature, Scratch& scratch) const {
+  const std::size_t n = labels_.size();
   for (std::size_t c = 1; c < channels_; ++c) {
-    if (hi[c] - lo[c] > hi[dim] - lo[dim]) dim = c;
+    const double* column = columns_.data() + c * n;
+    double* terms = scratch.all.terms.data() + (c - 1) * n;
+    for (std::size_t p = 0; p < n; ++p) {
+      const double diff = feature[c] - column[p];
+      terms[p] = diff * diff;
+    }
   }
-  if (end - begin <= kLeafSize || !(hi[dim] > lo[dim])) return node;
-
-  const std::uint32_t mid = begin + (end - begin) / 2;
-  std::nth_element(order.begin() + begin, order.begin() + mid, order.begin() + end,
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     const double va = prototypes[a].features[dim];
-                     const double vb = prototypes[b].features[dim];
-                     return va < vb || (!(vb < va) && a < b);
-                   });
-  nodes_[node].dim = static_cast<std::uint32_t>(dim);
-  nodes_[node].split = prototypes[order[mid]].features[dim];
-  build_node(order, begin, mid, prototypes);
-  nodes_[node].right = static_cast<std::int32_t>(build_node(order, mid, end, prototypes));
-  return node;
 }
 
-// Squared distance from `feature` to the node's box, summed in channel order.
-// For any row in the box each term is ≤ that row's term of d2 (rounding is
-// monotone), and adding non-negative terms never lowers a double, so the
-// bound is ≤ the row's computed d2.
+// A voxel's d2 to prototype p is ((diff0² + t1) + t2) + …, where diff0 is its
+// channel-0 difference and t_c the group's exact terms. Over the block,
+// fl(f0 − r) lies between fl(lo − r) and fl(hi − r), because rounding is
+// monotone; so the squared gap of [lo, hi] to r and the larger square of the
+// two ends bound diff0², and adding the same terms in the same order keeps
+// both bounds. If k prototypes have an upper bound ≤ U, every voxel's k-th
+// best is ≤ U, so a prototype within any voxel's k-th best has a lower bound
+// ≤ U and is kept. A prototype left out of `rows` by a wider block's bounds
+// has an upper bound here above U, so it changes neither U nor the set kept.
 NEURO_BITEXACT
-double KnnClassifier::box_bound(std::size_t node, const double* feature) const {
-  const double* lo = boxes_.data() + 2 * channels_ * node;
-  const double* hi = lo + channels_;
-  double bound = 0.0;
-  for (std::size_t c = 0; c < channels_; ++c) {
-    double gap = 0.0;
-    if (feature[c] < lo[c]) {
-      gap = lo[c] - feature[c];
-    } else if (feature[c] > hi[c]) {
-      gap = feature[c] - hi[c];
-    }
-    bound += gap * gap;
+bool KnnClassifier::block_candidates(const Rows& rows, double lo, double hi,
+                                     Scratch& scratch, std::uint8_t& label) const {
+  const std::size_t n = rows.size;
+  const std::size_t stride = labels_.size();
+  double* lower = scratch.lower.data();
+  double* upper = scratch.upper.data();
+  for (std::size_t q = 0; q < n; ++q) {
+    const double below = lo - rows.r0[q];
+    const double above = hi - rows.r0[q];
+    const double gap = std::max(std::max(below, -above), 0.0);
+    const double wide = std::max(-below, above);
+    lower[q] = gap * gap;
+    upper[q] = wide * wide;
   }
-  return bound;
+  for (std::size_t c = 1; c < channels_; ++c) {
+    const double* terms = rows.terms.data() + (c - 1) * stride;
+    for (std::size_t q = 0; q < n; ++q) {
+      lower[q] += terms[q];
+      upper[q] += terms[q];
+    }
+  }
+  std::vector<double>& kth = scratch.kth_upper;
+  std::fill(kth.begin(), kth.end(), std::numeric_limits<double>::infinity());
+  for (std::size_t q = 0; q < n; ++q) {
+    if (!(upper[q] < kth.back())) continue;
+    std::size_t i = kth.size() - 1;
+    for (; i > 0 && kth[i - 1] > upper[q]; --i) kth[i] = kth[i - 1];
+    kth[i] = upper[q];
+  }
+  const double bound = kth.back();
+  std::vector<std::uint32_t>& cands = scratch.candidates;
+  cands.clear();
+  bool uniform = true;
+  for (std::uint32_t q = 0; q < n; ++q) {
+    if (lower[q] <= bound) {
+      uniform = uniform &&
+                (cands.empty() || labels_[rows.ids[q]] == labels_[rows.ids[cands.front()]]);
+      cands.push_back(q);
+    }
+  }
+  ++scratch.blocks;
+  scratch.distance_evals += static_cast<std::int64_t>(n);
+  label = labels_[rows.ids[cands.front()]];
+  return uniform;
 }
 
-// Measures every prototype whose distance could be ≤ the running k-th best and
-// keeps each one whose distance was ≤ it when measured. The near child is
-// searched first; the far one is skipped only when its box bound is strictly
-// greater than the running k-th best, which never falls below the final one,
-// so every prototype at or inside the final k-th distance is kept.
-NEURO_BITEXACT
-void KnnClassifier::search(std::size_t node, const double* feature,
-                           Scratch& scratch) const {
-  const Node& n = nodes_[node];
-  std::vector<double>& kth_best = scratch.kth_best;
-  if (n.right < 0) {
-    const double* row = features_.data() + n.begin * channels_;
-    for (std::uint32_t r = n.begin; r < n.end; ++r, row += channels_) {
-      ++scratch.distance_evals;
-      double d2 = 0.0;
-      for (std::size_t c = 0; c < channels_; ++c) {
-        const double diff = feature[c] - row[c];
-        d2 += diff * diff;
-      }
-      if (d2 > kth_best.back()) continue;
-      scratch.candidates.push_back({row_prototype_[r], d2});
-      if (!(d2 < kth_best.back())) continue;
-      std::size_t q = kth_best.size() - 1;
-      for (; q > 0 && kth_best[q - 1] > d2; --q) kth_best[q] = kth_best[q - 1];
-      kth_best[q] = d2;
-    }
-    return;
+void KnnClassifier::keep_candidates(const Rows& from, Rows& to,
+                                    const std::vector<std::uint32_t>& cands) const {
+  const std::size_t stride = labels_.size();
+  to.size = cands.size();
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    to.ids[i] = from.ids[cands[i]];
+    to.r0[i] = from.r0[cands[i]];
   }
-  std::size_t near = node + 1;
-  std::size_t far = static_cast<std::size_t>(n.right);
-  if (!(feature[n.dim] < n.split)) std::swap(near, far);
-  search(near, feature, scratch);
-  if (box_bound(far, feature) <= kth_best.back()) search(far, feature, scratch);
+  for (std::size_t c = 1; c < channels_; ++c) {
+    const double* src = from.terms.data() + (c - 1) * stride;
+    double* dst = to.terms.data() + (c - 1) * stride;
+    for (std::size_t i = 0; i < cands.size(); ++i) dst[i] = src[cands[i]];
+  }
 }
 
 // The linear scan's result depends only on the prototypes whose d2 is ≤ the
 // final k-th best, taken in prototype order: a farther one may enter its
-// k-best list, but only behind all of them, and is pushed out by the end. The
-// search keeps a superset of them, so replaying the scan's lower_bound
-// insertion (equal distances: later prototype first) over the kept
-// prototypes in index order, then the same vote, gives the scan's label.
+// k-best list, but only behind all of them, and is pushed out by the end. A
+// block's candidates are a superset of them in prototype order, so replaying
+// the scan's lower_bound insertion (equal distances: later prototype first)
+// over them, then the same vote, gives the scan's label.
 NEURO_BITEXACT
-std::uint8_t KnnClassifier::classify_features(const double* feature,
-                                              Scratch& scratch) const {
-  std::fill(scratch.kth_best.begin(), scratch.kth_best.end(),
-            std::numeric_limits<double>::infinity());
-  scratch.candidates.clear();
-  search(0, feature, scratch);
-  const double kth = scratch.kth_best.back();
-  auto& cands = scratch.candidates;
-  cands.erase(std::remove_if(cands.begin(), cands.end(),
-                             [kth](const Candidate& c) { return c.d2 > kth; }),
-              cands.end());
-  std::sort(cands.begin(), cands.end(), [](const Candidate& a, const Candidate& b) {
-    return a.prototype < b.prototype;
-  });
-
+std::uint8_t KnnClassifier::classify_voxel(const Rows& rows, double f0,
+                                           Scratch& scratch) const {
+  const std::size_t stride = labels_.size();
   const int k = static_cast<int>(scratch.hits.size());
   Hit* best = scratch.hits.data();
   int held = 0;
-  for (const Candidate& cand : cands) {
-    if (held < k || cand.d2 < best[k - 1].d2) {
-      const Hit h{cand.d2, labels_[cand.prototype]};
+  for (std::size_t q = 0; q < rows.size; ++q) {
+    const double diff = f0 - rows.r0[q];
+    double d2 = diff * diff;
+    for (std::size_t c = 1; c < channels_; ++c) d2 += rows.terms[(c - 1) * stride + q];
+    if (held < k || d2 < best[k - 1].d2) {
+      const Hit h{d2, labels_[rows.ids[q]]};
       const int pos = static_cast<int>(
           std::lower_bound(best, best + held, h,
                            [](const Hit& a, const Hit& b) { return a.d2 < b.d2; }) -
@@ -396,6 +466,7 @@ std::uint8_t KnnClassifier::classify_features(const double* feature,
       if (held < k) ++held;
     }
   }
+  scratch.distance_evals += static_cast<std::int64_t>(rows.size);
 
   std::uint8_t winner = best[0].label;
   if (voting_ == Voting::kDistanceWeighted) {
@@ -443,8 +514,13 @@ std::uint8_t KnnClassifier::classify(const std::vector<double>& feature) const {
   NEURO_REQUIRE(std::all_of(feature.begin(), feature.end(),
                             [](double v) { return std::isfinite(v); }),
                 "KnnClassifier::classify: non-finite feature");
-  Scratch scratch(k_, labels_.size());
-  return classify_features(feature.data(), scratch);
+  Scratch scratch(*this);
+  group_terms(feature.data(), scratch);
+  std::uint8_t label = 0;
+  if (block_candidates(scratch.all, feature[0], feature[0], scratch, label)) return label;
+  Rows& kept = scratch.level(0);
+  keep_candidates(scratch.all, kept, scratch.candidates);
+  return classify_voxel(kept, feature[0], scratch);
 }
 
 std::int64_t KnnClassifier::classify_slab(const FeatureStack& stack, int k_begin,
@@ -452,22 +528,118 @@ std::int64_t KnnClassifier::classify_slab(const FeatureStack& stack, int k_begin
   NEURO_REQUIRE(stack.channels() == channels_,
                 "KnnClassifier: stack/prototype channel count mismatch");
   obs::Span span = obs::global_span("seg.knn");
-  Scratch scratch(k_, labels_.size());
+  Scratch scratch(*this);
   std::vector<const float*> data(channels_);
   for (std::size_t c = 0; c < channels_; ++c) data[c] = stack.channel(c).data().data();
+  const float* x = data[0];
+  const double w0 = stack.weight(0);
+  const std::size_t plane = out.index(0, 0, 1);
+  // Chunk-sized scratch, allocated once per call: each voxel's group, and the
+  // chunk's voxel offsets sorted by channel-0 bin, then stably by group.
+  const std::size_t capacity =
+      plane * static_cast<std::size_t>(std::min(kChunkPlanes, k_end - k_begin));
+  std::vector<std::uint32_t> group_of(capacity);
+  std::vector<std::uint32_t> by_bin(capacity);
+  std::vector<std::uint32_t> by_group(capacity);
+  std::vector<std::uint32_t> ends(kBins);
+  std::vector<std::uint32_t> counts;
+  std::vector<std::size_t> first;
+  std::vector<std::uint32_t> table(1024);
   std::vector<double> feature(channels_);
-  const std::size_t begin = out.index(0, 0, k_begin);
-  const std::size_t end = out.index(0, 0, k_end);
-  for (std::size_t v = begin; v < end; ++v) {
-    for (std::size_t c = 0; c < channels_; ++c) {
-      feature[c] = stack.weight(c) * static_cast<double>(data[c][v]);
-      NEURO_REQUIRE(std::isfinite(feature[c]), "KnnClassifier: non-finite feature");
+  std::uint8_t* labels = out.data().data();
+
+  // Classifies the block of the current chunk's voxels at offsets
+  // order[begin, end) against `rows`: one label when its candidates share it,
+  // else the per-voxel rule on a block of at most kLeafVoxels, else each half
+  // of the block, in channel-0 order, against the block's candidates.
+  std::size_t v0 = 0;
+  const std::uint32_t* order = by_group.data();
+  auto classify_block = [&](auto& self, const Rows& rows, std::size_t depth, std::size_t begin,
+                          std::size_t end) -> void {
+    float lo = x[v0 + order[begin]];
+    float hi = lo;
+    for (std::size_t q = begin + 1; q < end; ++q) {
+      lo = std::min(lo, x[v0 + order[q]]);
+      hi = std::max(hi, x[v0 + order[q]]);
     }
-    out.data()[v] = classify_features(feature.data(), scratch);
+    std::uint8_t label = 0;
+    if (block_candidates(rows, w0 * static_cast<double>(lo), w0 * static_cast<double>(hi),
+                         scratch, label)) {
+      for (std::size_t q = begin; q < end; ++q) labels[v0 + order[q]] = label;
+      scratch.uniform_voxels += static_cast<std::int64_t>(end - begin);
+      return;
+    }
+    Rows& kept = scratch.level(depth);
+    keep_candidates(rows, kept, scratch.candidates);
+    if (end - begin <= kLeafVoxels) {
+      for (std::size_t q = begin; q < end; ++q) {
+        const std::size_t v = v0 + order[q];
+        labels[v] = classify_voxel(kept, w0 * static_cast<double>(x[v]), scratch);
+      }
+      return;
+    }
+    const std::size_t mid = begin + (end - begin) / 2;
+    self(self, kept, depth + 1, begin, mid);
+    self(self, kept, depth + 1, mid, end);
+  };
+
+  for (int kc = k_begin; kc < k_end; kc += kChunkPlanes) {
+    v0 = out.index(0, 0, kc);
+    const std::size_t n = plane * static_cast<std::size_t>(std::min(kChunkPlanes, k_end - kc));
+    float x_min = x[v0];
+    float x_max = x[v0];
+    for (std::size_t i = 0; i < n; ++i) {
+      NEURO_REQUIRE(std::isfinite(w0 * static_cast<double>(x[v0 + i])),
+                    "KnnClassifier: non-finite feature");
+      x_min = std::min(x_min, x[v0 + i]);
+      x_max = std::max(x_max, x[v0 + i]);
+    }
+    const double scale =
+        x_max > x_min ? static_cast<double>(kBins - 1) /
+                            (static_cast<double>(x_max) - static_cast<double>(x_min))
+                      : 0.0;
+    auto bin = [&](std::size_t i) {
+      const double t = (static_cast<double>(x[v0 + i]) - static_cast<double>(x_min)) * scale;
+      return std::min(static_cast<std::size_t>(t), kBins - 1);
+    };
+    // Counting sorts: by bin, then stably by group; ends[] is one past each
+    // key's last slot once a pass has placed it.
+    std::fill(ends.begin(), ends.end(), 0);
+    for (std::size_t i = 0; i < n; ++i) ++ends[bin(i)];
+    std::uint32_t total = 0;
+    for (std::uint32_t& e : ends) {
+      total += e;
+      e = total - e;
+    }
+    for (std::size_t i = 0; i < n; ++i) by_bin[ends[bin(i)]++] = static_cast<std::uint32_t>(i);
+    assign_groups(data, v0, n, group_of.data(), first, table);
+    counts.assign(first.size(), 0);
+    for (std::size_t i = 0; i < n; ++i) ++counts[group_of[i]];
+    total = 0;
+    for (std::uint32_t& e : counts) {
+      total += e;
+      e = total - e;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t off = by_bin[i];
+      by_group[counts[group_of[off]]++] = off;
+    }
+
+    for (std::size_t g = 0; g < first.size(); ++g) {
+      for (std::size_t c = 1; c < channels_; ++c) {
+        feature[c] = stack.weight(c) * static_cast<double>(data[c][first[g]]);
+        NEURO_REQUIRE(std::isfinite(feature[c]), "KnnClassifier: non-finite feature");
+      }
+      group_terms(feature.data(), scratch);
+      classify_block(classify_block, scratch.all, 0, g == 0 ? 0 : counts[g - 1], counts[g]);
+    }
   }
   if (span.active()) {
-    span.attr("voxels", static_cast<std::int64_t>(end - begin));
+    span.attr("voxels", static_cast<std::int64_t>(out.index(0, 0, k_end) -
+                                                  out.index(0, 0, k_begin)));
     span.attr("distance_evals", scratch.distance_evals);
+    span.attr("blocks", scratch.blocks);
+    span.attr("uniform_voxels", scratch.uniform_voxels);
   }
   return scratch.distance_evals;
 }
@@ -483,17 +655,20 @@ ImageL KnnClassifier::classify_volume_parallel(const FeatureStack& stack,
                                                par::Communicator& comm) const {
   const ImageF& ref = stack.channel(0);
   const IVec3 d = ref.dims();
-  // Contiguous slice slabs, remainder spread over the first ranks.
-  const par::BlockRange slab = par::block_range(d.z, comm.rank(), comm.size());
+  // Whole chunks per rank, the remainder spread over the first ranks.
+  const int chunks = (d.z + kChunkPlanes - 1) / kChunkPlanes;
+  const par::BlockRange mine = par::block_range(chunks, comm.rank(), comm.size());
+  const int k_begin = std::min(mine.begin * kChunkPlanes, d.z);
+  const int k_end = std::min(mine.end * kChunkPlanes, d.z);
 
   ImageL out(d, 0, ref.spacing(), ref.origin());
-  const std::int64_t evals = classify_slab(stack, slab.begin, slab.end, out);
+  const std::int64_t evals = classify_slab(stack, k_begin, k_end, out);
   comm.work().add_flops(static_cast<double>(evals) *
                         (3.0 * static_cast<double>(channels_)));
 
   // Gather the slabs: each rank contributes its slice range.
-  const std::size_t slab_begin = out.index(0, 0, slab.begin);
-  const std::size_t slab_len = out.index(0, 0, slab.end) - slab_begin;
+  const std::size_t slab_begin = out.index(0, 0, k_begin);
+  const std::size_t slab_len = out.index(0, 0, k_end) - slab_begin;
   auto parts = comm.allgather_parts(std::span<const std::uint8_t>(
       out.data().data() + slab_begin, slab_len));
   std::size_t offset = 0;

@@ -7,9 +7,9 @@
 // once per surgery (< 5 min interaction) and reused — their *spatial
 // locations* are recorded so the statistical model updates automatically on
 // later scans. We reproduce that structure: prototypes are (feature, label)
-// pairs with recorded voxel locations; classification is exact k-NN over a
-// k-d tree of the prototype features, parallelized over image slabs with
-// neuro::par.
+// pairs with recorded voxel locations; classification is exact k-NN that
+// bounds the prototypes over blocks of voxels sharing their localization
+// features, parallelized over chunks of image planes with neuro::par.
 #pragma once
 
 #include <cstdint>
@@ -87,13 +87,18 @@ std::vector<Prototype> select_prototypes_robust(
 /// prototype *locations* persist, their signals are re-read).
 void refresh_prototypes(std::vector<Prototype>& prototypes, const FeatureStack& stack);
 
-/// Exact k-NN classifier. The prototype features are indexed by a k-d tree
-/// built once per classifier; a voxel's search measures only the prototypes
-/// whose leaf boxes could hold one of its k nearest, then replays the linear
-/// scan's decision rule on them. Labels are bit-identical to that scan:
-/// squared distances summed in channel order, equal distances ordered later
-/// prototype first, the same votes and tie breaks (docs/perf.md,
-/// "Registration and classification"). Prototype features must be finite.
+/// Exact k-NN classifier. Voxels are classified in blocks: within a fixed
+/// chunk of z planes, the voxels sharing the exact bits of channels 1..C−1
+/// (the localization channels) form a group, and each group is a block. Per
+/// block, every prototype gets a lower and an upper bound on its distance;
+/// only the prototypes whose lower bound is ≤ the k-th smallest upper bound
+/// can be among a voxel's k nearest. When they all carry one label the block
+/// takes it; otherwise the block is halved in channel-0 order, and the voxels
+/// of a small block replay the linear scan's decision rule on its candidates.
+/// Labels are bit-identical to that scan: squared distances summed in channel
+/// order, equal distances ordered later prototype first, the same votes and
+/// tie breaks (docs/perf.md, "Block search"). Prototype features must be
+/// finite.
 class KnnClassifier {
  public:
   /// How the k nearest prototypes combine into a decision.
@@ -113,9 +118,10 @@ class KnnClassifier {
   /// Classifies a whole feature stack serially.
   [[nodiscard]] ImageL classify_volume(const FeatureStack& stack) const;
 
-  /// SPMD classification: each rank classifies a contiguous slab of slices,
-  /// results are allgathered so every rank returns the full label volume.
-  /// The tree is shared read-only by the ranks.
+  /// SPMD classification: the fixed chunks of planes are dealt whole, as
+  /// contiguous runs, to the ranks; results are allgathered so every rank
+  /// returns the full label volume. The work done does not depend on the
+  /// rank count.
   [[nodiscard]] ImageL classify_volume_parallel(const FeatureStack& stack,
                                                 par::Communicator& comm) const;
 
@@ -126,39 +132,33 @@ class KnnClassifier {
     double d2;
     std::uint8_t label;
   };
-  /// A prototype measured by the search, by its index in the prototype list.
-  struct Candidate {
-    std::uint32_t prototype;
-    double d2;
-  };
-  /// A k-d tree node over rows [begin, end) of features_. Nodes are stored in
-  /// preorder, so an internal node's left child is the next node.
-  struct Node {
-    std::uint32_t begin;
-    std::uint32_t end;
-    std::int32_t right;  ///< right child; negative for a leaf
-    std::uint32_t dim;   ///< split channel and value: the search first
-    double split;        ///< visits the side of `split` holding the voxel
-  };
+  struct Rows;
   struct Scratch;
 
-  std::size_t build_node(std::vector<std::uint32_t>& order, std::uint32_t begin,
-                         std::uint32_t end, const std::vector<Prototype>& prototypes);
-  [[nodiscard]] double box_bound(std::size_t node, const double* feature) const;
-  void search(std::size_t node, const double* feature, Scratch& scratch) const;
-  [[nodiscard]] std::uint8_t classify_features(const double* feature,
-                                               Scratch& scratch) const;
-  /// Classifies slices [k_begin, k_end) under a "seg.knn" span; returns the
-  /// number of prototype distances the searches evaluated.
+  /// The localization terms of every prototype (scratch.all) for one group:
+  /// the squared difference in each channel c ≥ 1 to `feature`.
+  void group_terms(const double* feature, Scratch& scratch) const;
+  /// Bounds the prototypes of `rows` over a block whose channel-0 features lie
+  /// in [lo, hi] and keeps the candidates (rows, ascending) in
+  /// scratch.candidates. Returns true when they all carry one label, written
+  /// to `label`.
+  bool block_candidates(const Rows& rows, double lo, double hi, Scratch& scratch,
+                        std::uint8_t& label) const;
+  /// Copies the rows `cands` of `from` into `to`.
+  void keep_candidates(const Rows& from, Rows& to,
+                       const std::vector<std::uint32_t>& cands) const;
+  /// The linear scan's rule for one voxel of a block, over the block's
+  /// candidates `rows`.
+  [[nodiscard]] std::uint8_t classify_voxel(const Rows& rows, double f0,
+                                            Scratch& scratch) const;
+  /// Classifies slices [k_begin, k_end), which start a chunk, under a
+  /// "seg.knn" span; returns the number of prototype rows measured.
   std::int64_t classify_slab(const FeatureStack& stack, int k_begin, int k_end,
                              ImageL& out) const;
 
   std::size_t channels_;
-  std::vector<double> features_;       ///< prototype rows of channels_ values, tree order
-  std::vector<std::uint32_t> row_prototype_;  ///< prototype index of each row
-  std::vector<std::uint8_t> labels_;   ///< one per prototype, prototype order
-  std::vector<Node> nodes_;            ///< preorder; nodes_[0] is the root
-  std::vector<double> boxes_;          ///< per node: channels_ lows, then highs
+  std::vector<double> columns_;       ///< prototype features, channel-major
+  std::vector<std::uint8_t> labels_;  ///< one per prototype, prototype order
   int k_;
   Voting voting_;
 };

@@ -281,11 +281,11 @@ void expect_matches_brute_force(const FeatureStack& stack,
 
 TEST(KnnTest, RankInvariantAndMatchesBruteForce) {
   // Small-integer features make equal distances (ties in both the k-best
-  // insertion and the votes) common; k runs from 1 past the prototype count,
-  // and the counts reach trees several levels deep. Every k-d split value is
-  // a prototype coordinate, so on this grid many rows lie exactly on split
-  // planes; a tail of exact duplicates with different labels puts equal rows
-  // in one leaf and across sibling leaves.
+  // insertion and the votes) common; k runs from 1 past the prototype count.
+  // On this grid many voxels share a localization tuple and an intensity, so
+  // block bounds often equal prototype distances exactly; a tail of exact
+  // duplicates with different labels puts equal rows among one block's
+  // candidates.
   Rng rng(11);
   FeatureStack stack;
   for (int c = 0; c < 3; ++c) {
@@ -322,30 +322,31 @@ TEST(KnnTest, RankInvariantAndMatchesBruteForce) {
   }
 }
 
-// The pipeline's feature space on a 32³ phantom: the intraoperative scan plus
+// The pipeline's feature space on a phantom: the intraoperative scan plus
 // five saturated-DT channels, and its robustly selected prototypes.
 struct PhantomKnnCase {
   FeatureStack stack;
   std::vector<Prototype> prototypes;
 };
 
+PhantomKnnCase make_phantom_knn_case(const IVec3& dims, const Vec3& spacing) {
+  phantom::PhantomConfig pcfg;
+  pcfg.dims = dims;
+  pcfg.spacing = spacing;
+  const auto ph = phantom::make_case(pcfg, phantom::ShiftConfig{});
+  IntraopSegmentationConfig cfg;
+  cfg.classes = {phantom::label(Tissue::kBackground), phantom::label(Tissue::kSkin),
+                 phantom::label(Tissue::kSkullGap), phantom::label(Tissue::kBrain),
+                 phantom::label(Tissue::kVentricle)};
+  cfg.exclude_classes = {phantom::label(Tissue::kFalx), phantom::label(Tissue::kTumor)};
+  PhantomKnnCase c;
+  c.stack = build_feature_stack(ph.intraop, ph.preop_labels, cfg);
+  c.prototypes = model_prototypes(c.stack, ph.preop_labels, cfg);
+  return c;
+}
+
 const PhantomKnnCase& phantom_knn_case() {
-  static const PhantomKnnCase cas = [] {
-    phantom::PhantomConfig pcfg;
-    pcfg.dims = {32, 32, 32};
-    pcfg.spacing = {6.0, 6.0, 5.0};
-    const auto ph = phantom::make_case(pcfg, phantom::ShiftConfig{});
-    IntraopSegmentationConfig cfg;
-    cfg.classes = {phantom::label(Tissue::kBackground), phantom::label(Tissue::kSkin),
-                   phantom::label(Tissue::kSkullGap), phantom::label(Tissue::kBrain),
-                   phantom::label(Tissue::kVentricle)};
-    cfg.exclude_classes = {phantom::label(Tissue::kFalx),
-                           phantom::label(Tissue::kTumor)};
-    PhantomKnnCase c;
-    c.stack = build_feature_stack(ph.intraop, ph.preop_labels, cfg);
-    c.prototypes = model_prototypes(c.stack, ph.preop_labels, cfg);
-    return c;
-  }();
+  static const PhantomKnnCase cas = make_phantom_knn_case({32, 32, 32}, {6.0, 6.0, 5.0});
   return cas;
 }
 
@@ -359,6 +360,95 @@ TEST(KnnTest, IndexMatchesBruteForceOnPhantomStack) {
       SCOPED_TRACE(testing::Message() << "k " << k << " voting "
                                       << static_cast<int>(voting));
       expect_matches_brute_force(cas.stack, cas.prototypes, k, voting, {2, 4});
+    }
+  }
+}
+
+// Every voxel its own block group: channels 1..C−1 are continuous, so no two
+// voxels share their localization bits. 19 planes make a partial last chunk
+// and uneven chunk runs across the ranks. Every third prototype copies a
+// voxel's features, so exact zero distances reach the bounds and the votes.
+TEST(KnnTest, BlockSearchMatchesBruteForceOnContinuousChannels) {
+  Rng rng(21);
+  FeatureStack stack;
+  for (int c = 0; c < 4; ++c) {
+    ImageF channel({7, 6, 19});
+    for (auto& v : channel.data()) v = static_cast<float>(rng.uniform(0.0, 10.0));
+    stack.add_channel(std::move(channel), c == 0 ? 1.0 : 2.0);
+  }
+  const std::uint8_t labels[] = {1, 2, 5};
+  std::vector<Prototype> protos;
+  for (int p = 0; p < 60; ++p) {
+    Prototype proto;
+    proto.label = labels[rng.uniform_index(3)];
+    proto.voxel = {static_cast<int>(rng.uniform_index(7)),
+                   static_cast<int>(rng.uniform_index(6)),
+                   static_cast<int>(rng.uniform_index(19))};
+    if (p % 3 == 0) {
+      stack.feature_at(proto.voxel.x, proto.voxel.y, proto.voxel.z, proto.features);
+    } else {
+      for (int c = 0; c < 4; ++c) {
+        proto.features.push_back(rng.uniform(0.0, 10.0) * (c == 0 ? 1.0 : 2.0));
+      }
+    }
+    protos.push_back(std::move(proto));
+  }
+  for (const int k : {1, 5, 32}) {
+    for (const auto voting : {KnnClassifier::Voting::kMajority,
+                              KnnClassifier::Voting::kDistanceWeighted}) {
+      SCOPED_TRACE(testing::Message() << "k " << k << " voting " << static_cast<int>(voting));
+      expect_matches_brute_force(stack, protos, k, voting, {1, 2, 3, 4});
+    }
+  }
+}
+
+// One localization tuple for every voxel and four intensity values: each
+// chunk is a single group, and its runs of one intensity have equal lower and
+// upper bounds, so prototypes sit exactly on the candidate cut. Integer
+// prototype features and duplicated rows under other labels make equal
+// distances common.
+TEST(KnnTest, BlockSearchMatchesBruteForceOnTiedIntensities) {
+  Rng rng(22);
+  FeatureStack stack;
+  ImageF intensity({9, 8, 17});
+  for (auto& v : intensity.data()) v = static_cast<float>(rng.uniform_index(4));
+  stack.add_channel(std::move(intensity));
+  for (const float tuple : {1.0f, 3.0f, 0.0f}) stack.add_channel(ImageF({9, 8, 17}, tuple), 1.5);
+  const std::uint8_t labels[] = {2, 3, 7, 8};
+  std::vector<Prototype> protos;
+  for (int p = 0; p < 80; ++p) {
+    Prototype proto;
+    proto.label = labels[rng.uniform_index(4)];
+    proto.features.push_back(static_cast<double>(rng.uniform_index(4)));
+    for (int c = 1; c < 4; ++c) {
+      proto.features.push_back(1.5 * static_cast<double>(rng.uniform_index(4)));
+    }
+    protos.push_back(std::move(proto));
+  }
+  for (int p = 0; p < 20; ++p) {
+    Prototype copy = protos[rng.uniform_index(protos.size())];
+    copy.label = labels[rng.uniform_index(4)];
+    protos.push_back(std::move(copy));
+  }
+  for (const int k : {1, 5, 32}) {
+    for (const auto voting : {KnnClassifier::Voting::kMajority,
+                              KnnClassifier::Voting::kDistanceWeighted}) {
+      SCOPED_TRACE(testing::Message() << "k " << k << " voting " << static_cast<int>(voting));
+      expect_matches_brute_force(stack, protos, k, voting, {1, 2, 3, 4});
+    }
+  }
+}
+
+// The service's largest tenant shape, 48³ at 2.8 mm, in the pipeline's
+// feature space.
+TEST(KnnTest, BlockSearchMatchesBruteForceOnTenantPhantom) {
+  const PhantomKnnCase cas = make_phantom_knn_case({48, 48, 48}, {2.8, 2.8, 2.8});
+  ASSERT_EQ(cas.stack.channels(), 6u);
+  for (const int k : {1, 5, 32}) {
+    for (const auto voting : {KnnClassifier::Voting::kMajority,
+                              KnnClassifier::Voting::kDistanceWeighted}) {
+      SCOPED_TRACE(testing::Message() << "k " << k << " voting " << static_cast<int>(voting));
+      expect_matches_brute_force(cas.stack, cas.prototypes, k, voting, {1, 2, 3, 4});
     }
   }
 }
