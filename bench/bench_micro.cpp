@@ -115,10 +115,12 @@ void BM_MutualInformation(benchmark::State& state) {
 }
 BENCHMARK(BM_MutualInformation)->Unit(benchmark::kMillisecond);
 
-// One level-0 MI evaluation at the Fig. 6 shape (96^3, 2.5 mm, default
-// registration config): the sampler is built once, as register_rigid_mi
-// builds it once per pyramid level, and the transform moves some samples out
-// of the volume.
+// One MI evaluation at the Fig. 6 shape (96^3, 2.5 mm, default registration
+// config) on pyramid level state.range(0) at state.range(1) ranks. The
+// pyramid and its MI tables are built once, and each rank builds its sampler
+// once per run, as register_rigid_mi does per level; the transform moves some
+// samples out of the volume. Rank 0 drives the benchmark loop, which runs
+// exactly max_iterations times, and the other ranks evaluate as often.
 void BM_MiSamplerEvaluate(benchmark::State& state) {
   const reg::RigidRegistrationConfig rcfg;
   // Built once per process: every repetition reuses the phantom and pyramid.
@@ -129,24 +131,38 @@ void BM_MiSamplerEvaluate(benchmark::State& state) {
     const auto cas = phantom::make_case(pc, phantom::ShiftConfig{});
     return reg::build_registration_pyramid(cas.intraop, cas.preop, rcfg);
   }();
-  const reg::MiSampler sampler(pyr.fixed[0], pyr.moving[0], rcfg.mi);
+  const auto level = static_cast<std::size_t>(state.range(0));
+  const int nranks = static_cast<int>(state.range(1));
   RigidTransform t;
   t.center = pyr.center;
   t.translation = {3.0, -2.0, 1.5};
   t.rotation = {0.02, -0.03, 0.01};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sampler.evaluate(t));
-  }
+  par::run_spmd(nranks, [&](par::Communicator& comm) {
+    const reg::MiSampler sampler(pyr.fixed[level], pyr.moving[level], pyr.mi[level], rcfg.mi,
+                                 &comm);
+    if (comm.rank() == 0) {
+      for (auto _ : state) benchmark::DoNotOptimize(sampler.evaluate(t));
+    } else {
+      for (benchmark::IterationCount i = 0; i < state.max_iterations; ++i) {
+        benchmark::DoNotOptimize(sampler.evaluate(t));
+      }
+    }
+  });
   const int stride = rcfg.mi.sample_stride;
-  const IVec3 d = pyr.fixed[0].dims();
+  const IVec3 d = pyr.fixed[level].dims();
   const double samples = static_cast<double>((d.x + stride - 1) / stride) *
                          ((d.y + stride - 1) / stride) * ((d.z + stride - 1) / stride);
-  // Inverted iteration-invariant rate of samples / 1e9: nanoseconds per sample.
+  // Inverted iteration-invariant rate of samples / 1e9: wall nanoseconds per
+  // sample of the whole level, over all ranks.
   state.counters["ns_per_sample"] = benchmark::Counter(
       samples / 1e9,
       benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_MiSamplerEvaluate)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MiSamplerEvaluate)
+    ->ArgsProduct({{0, 1}, {1, 2}})
+    ->ArgNames({"level", "ranks"})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // k-NN classification of the Fig. 6 intraoperative scan in the pipeline's
 // feature space (default seg config) on state.range(0) ranks; each iteration

@@ -126,6 +126,7 @@ RegistrationPyramid registration_pyramid_grids(const ImageF& fixed, const ImageF
     pyr.fixed.push_back(downsample2_grid(pyr.fixed.back()));
     pyr.moving.push_back(downsample2_grid(pyr.moving.back()));
   }
+  for (const ImageF& level : pyr.moving) pyr.mi.push_back(mi_tables_grid(level, config.mi));
   const IVec3 fd = fixed.dims();
   pyr.center = fixed.voxel_to_physical(
       Vec3{(fd.x - 1) / 2.0, (fd.y - 1) / 2.0, (fd.z - 1) / 2.0});
@@ -137,7 +138,8 @@ void build_registration_pyramid(const ImageF& fixed, const ImageF& moving,
                                 RegistrationPyramid& pyramid, par::Communicator* comm) {
   const auto levels = static_cast<std::size_t>(config.pyramid_levels);
   NEURO_REQUIRE(pyramid.fixed.size() == levels && pyramid.moving.size() == levels &&
-                    pyramid.fixed[0].same_grid(fixed) && pyramid.moving[0].same_grid(moving),
+                    pyramid.mi.size() == levels && pyramid.fixed[0].same_grid(fixed) &&
+                    pyramid.moving[0].same_grid(moving),
                 "build_registration_pyramid: pyramid not from registration_pyramid_grids");
   for (auto [image, level0] : {std::pair{&fixed, &pyramid.fixed[0]},
                                std::pair{&moving, &pyramid.moving[0]}}) {
@@ -157,6 +159,9 @@ void build_registration_pyramid(const ImageF& fixed, const ImageF& moving,
     downsample2(pyramid.moving[l - 1], pyramid.moving[l], comm);
     par::barrier(comm);  // level l + 1 reads every rank's slab of level l
   }
+  for (std::size_t l = 0; l < levels; ++l) {
+    build_mi_tables(pyramid.fixed[l], pyramid.moving[l], config.mi, pyramid.mi[l], comm);
+  }
 }
 
 RegistrationPyramid build_registration_pyramid(const ImageF& fixed, const ImageF& moving,
@@ -171,7 +176,8 @@ RigidRegistrationResult register_rigid_mi(const RegistrationPyramid& pyramid,
                                           const RigidTransform& initial,
                                           par::Communicator* comm) {
   const int levels = static_cast<int>(pyramid.fixed.size());
-  NEURO_REQUIRE(levels >= 1 && pyramid.moving.size() == pyramid.fixed.size(),
+  NEURO_REQUIRE(levels >= 1 && pyramid.moving.size() == pyramid.fixed.size() &&
+                    pyramid.mi.size() == pyramid.fixed.size(),
                 "register_rigid_mi: malformed pyramid");
   const bool use_mi = config.metric == MetricKind::kMutualInformation;
 
@@ -182,10 +188,12 @@ RigidRegistrationResult register_rigid_mi(const RegistrationPyramid& pyramid,
   for (int l = levels - 1; l >= 0; --l) {
     obs::Span level_span = obs::global_span("reg.level");
     if (level_span.active()) level_span.attr("level", l);
-    const ImageF& f_img = pyramid.fixed[static_cast<std::size_t>(l)];
-    const ImageF& m_img = pyramid.moving[static_cast<std::size_t>(l)];
+    const auto level = static_cast<std::size_t>(l);
+    const ImageF& f_img = pyramid.fixed[level];
+    const ImageF& m_img = pyramid.moving[level];
     std::optional<MiSampler> sampler;
-    if (use_mi) sampler.emplace(f_img, m_img, config.mi, comm);
+    if (use_mi) sampler.emplace(f_img, m_img, pyramid.mi[level], config.mi, comm);
+    const int level_evals_before = evals;
 
     auto metric = [&](const std::array<double, 6>& p) {
       ++evals;
@@ -214,13 +222,26 @@ RigidRegistrationResult register_rigid_mi(const RegistrationPyramid& pyramid,
         // params unchanged unless one is -0.0, and x + t is -0.0 only when x
         // and t are, so params starting without -0.0 (the identity) never
         // hold one.
+        const int line_evals_before = evals;
+        obs::Span line_span = obs::global_span("reg.line_search");
         const LineMax m = line_search_max(line, step, best);
+        if (line_span.active()) {
+          line_span.attr("dim", dim);
+          line_span.attr("evals", evals - line_evals_before);
+        }
         if (m.value > best) {
           best = m.value;
           params[static_cast<std::size_t>(dim)] += m.t;
         }
       }
       if (best - before < config.tolerance) break;
+    }
+    if (level_span.active()) {
+      level_span.attr("evals", evals - level_evals_before);
+      if (use_mi) {
+        level_span.attr("samples", static_cast<std::int64_t>(sampler->samples()));
+        level_span.attr("single_bin_cells", pyramid.mi[level].single_bin_cells);
+      }
     }
     result.level_mi.push_back(best);
     result.mutual_information = best;

@@ -47,11 +47,13 @@ struct RigidRegistrationResult {
 ImageF downsample2(const ImageF& img);
 
 /// The metric-smoothed multiresolution pyramids of one fixed/moving pair
-/// (index 0 = full resolution, coarsest last). Built once and only read by
-/// the optimizer, so the ranks of a parallel registration share one copy.
+/// (index 0 = full resolution, coarsest last), with each level's MI tables.
+/// Built once and only read by the optimizer, so the ranks of a parallel
+/// registration share one copy.
 struct RegistrationPyramid {
   std::vector<ImageF> fixed;
   std::vector<ImageF> moving;
+  std::vector<MiTables> mi;  ///< per level: intensity ranges and single-bin cells
   Vec3 center;  ///< rotation center: the center of the fixed volume
 };
 
@@ -69,10 +71,11 @@ RegistrationPyramid registration_pyramid_grids(const ImageF& fixed, const ImageF
 ///
 /// With a communicator the call is collective and every rank passes the same
 /// `pyramid`: the ranks split the lines of the metric smoothing (the
-/// collective gaussian_smooth) and the z planes of each 2x downsampling, and
-/// `pyramid` holds the serial result bit for bit, at any rank count, when the
-/// call returns on any rank. The caller allocates the pyramid on its own
-/// thread before the rank region starts.
+/// collective gaussian_smooth), the z planes of each 2x downsampling and those
+/// of each level's MI tables (build_mi_tables), and `pyramid` holds the
+/// serial result bit for bit, at any rank count, when the call returns on any
+/// rank. The caller allocates the pyramid on its own thread before the rank
+/// region starts.
 void build_registration_pyramid(const ImageF& fixed, const ImageF& moving,
                                 const RigidRegistrationConfig& config,
                                 RegistrationPyramid& pyramid, par::Communicator* comm);

@@ -4,6 +4,8 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -483,6 +485,238 @@ TEST(RigidRegistrationTest, TracedMiEvalSpansMatchEvaluationCount) {
   EXPECT_GT(result.metric_evaluations, 0);
   EXPECT_EQ(mi_evals, result.metric_evaluations);
   EXPECT_EQ(levels, rcfg.pyramid_levels);
+}
+
+// MiSampler with the pyramid's tables at each rank count, against the
+// reference loop, for every transform; rank 0's tables are checked against a
+// serial build. `check` names the case in failure messages.
+void expect_tables_sampler_matches_reference(const ImageF& fixed, const ImageF& moving,
+                                             const MiConfig& cfg,
+                                             const std::vector<RigidTransform>& transforms,
+                                             const std::string& check) {
+  std::vector<double> expected;
+  for (const auto& t : transforms) expected.push_back(reference_mi(fixed, moving, t, cfg));
+  MiTables serial = mi_tables_grid(moving, cfg);
+  build_mi_tables(fixed, moving, cfg, serial, nullptr);
+  const MiSampler own(fixed, moving, cfg);
+  for (std::size_t t = 0; t < transforms.size(); ++t) {
+    EXPECT_TRUE(same_bits(own.evaluate(transforms[t]), expected[t]))
+        << check << " serial transform " << t;
+  }
+  for (const int nranks : {1, 2, 4}) {
+    MiTables tables = mi_tables_grid(moving, cfg);
+    std::vector<std::vector<double>> got(static_cast<std::size_t>(nranks));
+    par::run_spmd(nranks, [&](par::Communicator& comm) {
+      build_mi_tables(fixed, moving, cfg, tables, &comm);
+      const MiSampler sampler(fixed, moving, tables, cfg, &comm);
+      for (const auto& t : transforms) {
+        got[static_cast<std::size_t>(comm.rank())].push_back(sampler.evaluate(t));
+      }
+    });
+    EXPECT_EQ(tables.cells, serial.cells) << check << " nranks " << nranks;
+    EXPECT_EQ(tables.single_bin_cells, serial.single_bin_cells) << check;
+    EXPECT_TRUE(tables.moving_range == serial.moving_range &&
+                tables.fixed_range == serial.fixed_range)
+        << check << " nranks " << nranks;
+    for (int r = 0; r < nranks; ++r) {
+      for (std::size_t t = 0; t < transforms.size(); ++t) {
+        EXPECT_TRUE(same_bits(got[static_cast<std::size_t>(r)][t], expected[t]))
+            << check << " nranks " << nranks << " rank " << r << " transform " << t;
+      }
+    }
+  }
+}
+
+TEST(MiSamplerTest, RankInvariantSingleBinCellsOnBinEdges) {
+  // Constant 2x2x2 blocks whose values sit exactly on bin edges of the
+  // moving range [0, 32] (32 bins of width 1, so the edges are the integers)
+  // or one float ulp either side of one, plus all-zero blocks. In a first
+  // cell (i0, j0 or k0 = 0) below 0.5, 1 - fx rounds, and the lerps of a
+  // constant cell can land one double ulp below its edge value: only the
+  // widened bound keeps such a cell off the table. The odd dims leave a
+  // one-plane block on each far face, whose cells read the far-face corner
+  // rule.
+  const IVec3 dims{17, 15, 13};
+  std::vector<float> values{0.0f};
+  for (int b = 0; b <= 32; ++b) {
+    const auto edge = static_cast<float>(b);
+    values.push_back(edge);
+    if (b > 0) values.push_back(std::nextafter(edge, -1.0f));
+    if (b < 32) values.push_back(std::nextafter(edge, 64.0f));
+    values.push_back(0.0f);
+  }
+  ImageF moving(dims, 0.0f, {1.0, 1.0, 1.0}, {0.0, 0.0, 0.0});
+  for (int k = 0; k < dims.z; ++k) {
+    for (int j = 0; j < dims.y; ++j) {
+      for (int i = 0; i < dims.x; ++i) {
+        const int block = (i / 2) * 7 + (j / 2) * 13 + (k / 2) * 29;
+        moving(i, j, k) = values[static_cast<std::size_t>(block) % values.size()];
+      }
+    }
+  }
+  moving(dims.x - 1, dims.y - 1, dims.z - 1) = 32.0f;
+  ImageF fixed(dims, 0.0f, {1.0, 1.0, 1.0}, {0.0, 0.0, 0.0});
+  Rng rng(27);
+  for (auto& v : fixed.data()) v = static_cast<float>(rng.uniform(0, 100));
+
+  // The identity puts samples exactly on voxel planes, the far faces
+  // included; whole- and half-voxel shifts put them on and just inside the
+  // far faces; small non-dyadic shifts give first-cell fractions whose
+  // 1 - fx rounds; the rest land anywhere in the cells.
+  std::vector<RigidTransform> transforms(1);
+  for (const double shift : {1.0, -1.0, 0.5, -0.5, 0.25}) {
+    for (int axis = 0; axis < 3; ++axis) {
+      RigidTransform x;
+      x.translation[static_cast<std::size_t>(axis)] = shift;
+      transforms.push_back(x);
+    }
+  }
+  for (int t = 1; t <= 8; ++t) {
+    RigidTransform x;
+    x.translation = {t / 20.0, t / 17.0, (9 - t) / 19.0};
+    transforms.push_back(x);
+  }
+  for (int t = 0; t < 20; ++t) {
+    RigidTransform x;
+    x.center = {8.0, 7.0, 6.0};
+    x.translation = {rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)};
+    x.rotation = {rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)};
+    transforms.push_back(x);
+  }
+  MiConfig cfg;
+  cfg.sample_stride = 1;
+  MiTables tables = mi_tables_grid(moving, cfg);
+  build_mi_tables(fixed, moving, cfg, tables, nullptr);
+  ASSERT_EQ(tables.moving_range, (std::pair{0.0, 32.0}));
+  EXPECT_GT(tables.single_bin_cells, 0);
+  EXPECT_LT(tables.single_bin_cells, static_cast<std::int64_t>(moving.size()));
+  expect_tables_sampler_matches_reference(fixed, moving, cfg, transforms, "bin edges");
+}
+
+TEST(MiSamplerTest, RankInvariantFig6PyramidMatchesReference) {
+  // The Fig. 6 registration pyramid (96^3 at 2.5 mm, default config), levels
+  // 0 and 1, with the tables the collective pyramid build makes at 1, 2 and 4
+  // ranks. Whole-voxel shifts put stride-2 samples on the far faces, the
+  // identity puts them on voxel planes, and the random transforms span the
+  // steps Powell's line searches take.
+  phantom::PhantomConfig pc;
+  pc.dims = {96, 96, 96};
+  pc.spacing = {2.5, 2.5, 2.5};
+  const auto cas = phantom::make_case(pc, phantom::ShiftConfig{});
+  const RigidRegistrationConfig rcfg;
+  const RegistrationPyramid serial = build_registration_pyramid(cas.intraop, cas.preop, rcfg);
+  for (const int nranks : {2, 4}) {
+    RegistrationPyramid pyr = registration_pyramid_grids(cas.intraop, cas.preop, rcfg);
+    par::run_spmd(nranks, [&](par::Communicator& comm) {
+      build_registration_pyramid(cas.intraop, cas.preop, rcfg, pyr, &comm);
+    });
+    for (std::size_t l = 0; l < serial.mi.size(); ++l) {
+      EXPECT_EQ(pyr.mi[l].cells, serial.mi[l].cells) << "nranks " << nranks << " level " << l;
+      EXPECT_EQ(pyr.mi[l].single_bin_cells, serial.mi[l].single_bin_cells);
+    }
+  }
+  Rng rng(2701);
+  for (std::size_t l = 0; l < 2; ++l) {
+    const double voxel = serial.fixed[l].spacing().x;
+    std::vector<RigidTransform> transforms(1, RigidTransform{});
+    transforms[0].center = serial.center;
+    for (const double shift : {1.0, -1.0, 0.5}) {
+      for (int axis = 0; axis < 3; ++axis) {
+        RigidTransform x;
+        x.center = serial.center;
+        x.translation[static_cast<std::size_t>(axis)] = shift * voxel;
+        transforms.push_back(x);
+      }
+    }
+    for (int t = 0; t < 32; ++t) {
+      RigidTransform x;
+      x.center = serial.center;
+      x.translation = {rng.uniform(-8, 8), rng.uniform(-8, 8), rng.uniform(-8, 8)};
+      x.rotation = {rng.uniform(-0.08, 0.08), rng.uniform(-0.08, 0.08),
+                    rng.uniform(-0.08, 0.08)};
+      transforms.push_back(x);
+    }
+    ASSERT_GE(transforms.size(), 40u);
+    EXPECT_GT(serial.mi[l].single_bin_cells, 0);
+    expect_tables_sampler_matches_reference(serial.fixed[l], serial.moving[l], rcfg.mi,
+                                            transforms, "level " + std::to_string(l));
+  }
+}
+
+TEST(MiSamplerTest, RankInvariantAtTwoAndMostBins) {
+  // The fewest bins, and the most a table entry can hold; one more is
+  // rejected, as is one bin.
+  const ImageF fixed = structured_volume(21, 5);
+  const ImageF moving = structured_volume(21, 6);
+  Rng rng(31);
+  std::vector<RigidTransform> transforms(1);
+  for (int t = 0; t < 12; ++t) {
+    RigidTransform x;
+    x.center = {10.0, 10.0, 10.0};
+    x.translation = {rng.uniform(-4, 4), rng.uniform(-4, 4), rng.uniform(-4, 4)};
+    x.rotation = {rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)};
+    transforms.push_back(x);
+  }
+  for (const int bins : {2, MiTables::kMaxBins}) {
+    MiConfig cfg;
+    cfg.bins = bins;
+    cfg.sample_stride = 1;
+    expect_tables_sampler_matches_reference(fixed, moving, cfg, transforms,
+                                            "bins " + std::to_string(bins));
+  }
+  for (const int bins : {1, MiTables::kMaxBins + 1}) {
+    MiConfig cfg;
+    cfg.bins = bins;
+    EXPECT_THROW(mi_tables_grid(moving, cfg), CheckError) << "bins " << bins;
+    EXPECT_THROW(MiSampler(fixed, moving, cfg), CheckError) << "bins " << bins;
+  }
+}
+
+TEST(RigidRegistrationTest, TracedLineSearchAndLevelSpansCountEvaluations) {
+#ifdef NEURO_OBS_DISABLED
+  GTEST_SKIP() << "tracing compiled out";
+#endif
+  // Each level makes one evaluation before its sweeps, and every other one
+  // inside a line search: the reg.line_search evals plus one per level are
+  // the reg.level evals, which sum to metric_evaluations.
+  const auto cas = offset_case(24);
+  RigidRegistrationConfig rcfg;
+  rcfg.powell_iterations = 2;
+  const RegistrationPyramid pyramid = build_registration_pyramid(cas.intraop, cas.preop, rcfg);
+  obs::global().clear();
+  obs::global().set_enabled(true);
+  const RigidRegistrationResult result = register_rigid_mi(pyramid, rcfg);
+  obs::global().set_enabled(false);
+  auto int_attr = [](const obs::TraceEvent& e, std::string_view key) -> std::int64_t {
+    for (const auto& a : e.attrs) {
+      if (a.key == key) return a.i;
+    }
+    ADD_FAILURE() << e.name << " has no " << key;
+    return 0;
+  };
+  std::int64_t line_evals = 0, level_evals = 0, levels = 0, line_searches = 0;
+  for (const auto& e : obs::global().snapshot()) {
+    if (e.name == "reg.line_search") {
+      ++line_searches;
+      line_evals += int_attr(e, "evals");
+      const std::int64_t dim = int_attr(e, "dim");
+      EXPECT_TRUE(dim >= 0 && dim < 6);
+    } else if (e.name == "reg.level") {
+      ++levels;
+      level_evals += int_attr(e, "evals");
+      const auto l = static_cast<std::size_t>(int_attr(e, "level"));
+      EXPECT_EQ(int_attr(e, "single_bin_cells"), pyramid.mi[l].single_bin_cells);
+      EXPECT_GT(int_attr(e, "samples"), 0);
+    } else if (e.name == "reg.mi_eval") {
+      const std::int64_t interpolated = int_attr(e, "interpolated");
+      EXPECT_TRUE(interpolated >= 0 && interpolated <= int_attr(e, "samples"));
+    }
+  }
+  obs::global().clear();
+  EXPECT_EQ(levels, rcfg.pyramid_levels);
+  EXPECT_GT(line_searches, 0);
+  EXPECT_EQ(level_evals, result.metric_evaluations);
+  EXPECT_EQ(line_evals + levels, result.metric_evaluations);
 }
 
 }  // namespace

@@ -30,10 +30,10 @@ the perf contracts of the observability work:
 Every gate reads the `_median` aggregate row of a benchmark when the record
 has one (CI runs bench_micro with --benchmark_repetitions=5, so a single
 noisy repetition cannot pass or fail a gate by itself) and the benchmark's
-single row otherwise.  BM_SpMV, BM_GaussianSmooth, BM_MiSamplerEvaluate,
-BM_DistanceTransform and BM_ActiveSurfaceIteration (the last two at 1 and 2
-ranks) ride in the record as kernel regression guards for diffing across
-runs; no gate reads them.
+single row otherwise.  BM_SpMV, BM_GaussianSmooth, BM_MiSamplerEvaluate
+(pyramid levels 0 and 1), BM_DistanceTransform and BM_ActiveSurfaceIteration
+(the last three at 1 and 2 ranks) ride in the record as kernel regression
+guards for diffing across runs; no gate reads them.
 
 Usage: check_bench_solver.py BENCH_solver.json
 """
