@@ -541,7 +541,7 @@ BENCHMARK(BM_SsdMetric)->Unit(benchmark::kMillisecond);
 // Span cost on the instrumented hot paths. enabled:0 is the clinical default
 // — one relaxed atomic load and an inert Span, the price every Krylov
 // iteration and comm op pays permanently; enabled:1 adds two steady_clock
-// reads and a lock-free stream append. tools/perf/check_bench_solver.py gates
+// reads and a lock-free ring write. tools/perf/check_bench_solver.py gates
 // the disabled path against the enabled one so instrumentation can never
 // quietly grow a cost on runs that aren't being traced.
 void BM_SpanOverhead(benchmark::State& state) {
@@ -555,7 +555,7 @@ void BM_SpanOverhead(benchmark::State& state) {
     }
     // Recorded events accumulate; drain periodically OUTSIDE the timed region
     // so long benchmark runs stay memory-bounded without polluting the
-    // measurement (the per-stream cap would otherwise truncate silently).
+    // measurement (the ring would otherwise start to wrap).
     if (enabled && ++count % 65536 == 0) {
       state.PauseTiming();
       tracer.clear();
@@ -592,12 +592,12 @@ void BM_SpanWithAttrsOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_SpanWithAttrsOverhead)->Arg(0)->Arg(1)->ArgName("enabled");
 
-// Flight-recorder ring mode (obs::FlightRecorder): same attr-carrying span
-// as BM_SpanWithAttrsOverhead but recording into a bounded ring that wraps
-// in place of the grow-then-truncate legacy path. No periodic drain is
-// needed — wrapping IS the steady state, which is exactly the cost the gate
-// in tools/perf/check_bench_solver.py bounds (enabled <= 2x the legacy
-// attr-span bound; disabled unchanged at the inert-span bound).
+// Flight-recorder ring (obs::FlightRecorder): same attr-carrying span as
+// BM_SpanWithAttrsOverhead but recording into the recorder's 4096-event ring,
+// which wraps. No periodic drain is needed — wrapping IS the steady state,
+// which is exactly the cost the gate in tools/perf/check_bench_solver.py
+// bounds (enabled <= 2x the attr-span bound; disabled unchanged at the
+// inert-span bound).
 void BM_RingRecordOverhead(benchmark::State& state) {
   const bool enabled = state.range(0) != 0;
   obs::Tracer::Options options;

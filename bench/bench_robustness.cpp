@@ -204,7 +204,7 @@ int main(int argc, char** argv) {
 
   if (!postmortem_dir.empty()) {
     // Arming here is safe: no rank thread exists yet, so the recorder may
-    // reconfigure the global tracer into ring mode. redact_timing keeps the
+    // resize the global tracer's ring. redact_timing keeps the
     // seeded campaigns' bundles byte-comparable across runs.
     obs::FlightRecorder::Options recorder_options;
     recorder_options.dump_dir = postmortem_dir;

@@ -314,11 +314,11 @@ FlightRecorder& recorder() {
   static FlightRecorder* instance = [] {
     auto* rec = new FlightRecorder(global());
     if (postmortem_enabled_by_env()) {
-      // global() already constructed in ring mode (trace.cpp consults
-      // postmortem_enabled_by_env before any thread records), so only the
-      // sink needs wiring — adopt_sink never touches the tracer, making
-      // this safe even when the first recorder() call lands on a rank
-      // thread while its siblings record.
+      // global() already constructed with the recorder's ring (trace.cpp
+      // consults postmortem_enabled_by_env before any thread records), so
+      // only the sink needs wiring — adopt_sink never touches the tracer,
+      // making this safe even when the first recorder() call lands on a
+      // rank thread while its siblings record.
       FlightRecorder::Options options;
       options.dump_dir = env_or_empty("NEURO_POSTMORTEM_DIR");
       rec->adopt_sink(std::move(options));
@@ -334,17 +334,6 @@ FlightRecorder& recorder() {
 bool postmortem_enabled_by_env() {
   const char* dir = std::getenv("NEURO_POSTMORTEM_DIR");
   return dir != nullptr && dir[0] != '\0';
-}
-
-std::size_t postmortem_ring_capacity_from_env() {
-  const char* env = std::getenv("NEURO_POSTMORTEM_RING");
-  std::size_t capacity = 4096;
-  if (env != nullptr && env[0] != '\0') {
-    capacity = static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
-  }
-  // The bundle validator's retention contract promises >= 1000 events per
-  // rank; don't let an env typo silently void it.
-  return capacity < 1024 ? 1024 : capacity;
 }
 
 void install_fatal_signal_dump() {

@@ -1,25 +1,25 @@
 // Black-box flight recorder with triggered post-mortem bundles.
 //
-// The Tracer's append-and-cap streams suit batch runs that export at exit;
-// a long-running SessionServer never reaches exit, so the FlightRecorder
-// arms the tracer's ring mode (bounded per-thread rings retaining the last-N
-// events indefinitely) and adds a triggered-dump path: when something goes
+// The Tracer's per-thread rings default to a capacity that holds a whole
+// batch run exported at exit; a long-running SessionServer never reaches
+// exit, so the FlightRecorder shrinks the rings (each keeps the last N events
+// indefinitely) and adds a triggered-dump path: when something goes
 // wrong — a degradation rung above the full solve, a Krylov watchdog fire, a
 // comm fault, a deadline miss, an admission rejection storm, a CheckError or
 // a fatal signal — it writes a self-contained post-mortem bundle: the ring
 // contents merged across ranks, a metrics snapshot, the triggering context,
 // the solver residual history recovered from the ring, and build + seed
 // provenance, as one JSON artifact (schema "neuro.postmortem.v1", validated
-// by tools/obs/check_trace.py --bundle). docs/observability.md documents the
-// bundle format and the ring quiescence contract.
+// by tools/obs/check_trace.py). docs/observability.md documents the bundle
+// format and the ring quiescence contract.
 //
 // Arming:
 //   * environment: NEURO_POSTMORTEM_DIR=<dir> arms the process-wide
-//     recorder() at startup (the global tracer constructs directly in ring
-//     mode, so no quiescent reconfiguration is needed);
-//     NEURO_POSTMORTEM_RING overrides the default ring capacity.
+//     recorder() at startup (the global tracer constructs directly with
+//     Options::ring_capacity's default, so no quiescent reconfiguration is
+//     needed).
 //   * programmatic: FlightRecorder::arm() at a quiescent point (benches and
-//     tests use this) — it reconfigures the tracer's ring and clears it.
+//     tests use this) — it resizes the tracer's ring and clears it.
 //
 // Dumping is cheap to request and rate-limited (Options::max_dumps); an
 // unarmed recorder still counts triggers in the metrics registry so tests
@@ -79,9 +79,10 @@ struct DumpContext {
 class FlightRecorder {
  public:
   struct Options {
-    /// Ring capacity handed to Tracer::set_ring_capacity on arm(). The
-    /// default comfortably exceeds the 1000-events-per-rank post-mortem
-    /// retention contract.
+    /// Ring capacity handed to Tracer::set_ring_capacity on arm(); the
+    /// NEURO_POSTMORTEM_DIR path builds the global tracer with the default.
+    /// It comfortably exceeds the 1000-events-per-rank post-mortem retention
+    /// contract.
     std::size_t ring_capacity = 4096;
     /// Directory for postmortem_NNNN.json artifacts; empty = record-only
     /// (rings run, triggers count, nothing is written).
@@ -101,11 +102,11 @@ class FlightRecorder {
   /// uses recorder(), which wraps the global tracer).
   explicit FlightRecorder(Tracer& tracer);
 
-  /// Arms the recorder: switches the tracer into ring mode (clearing it),
-  /// enables recording, and remembers the dump sink. Quiescent only — no
-  /// thread may be recording into `tracer` during the switch.
+  /// Arms the recorder: resizes the tracer's ring (clearing it), enables
+  /// recording, and remembers the dump sink. Quiescent only — no thread may
+  /// be recording into `tracer` during the switch.
   void arm(Options options);
-  /// Like arm() but assumes the tracer is already in ring mode and enabled
+  /// Like arm() but assumes the tracer already has its ring and is enabled
   /// (the NEURO_POSTMORTEM_DIR path constructs the global tracer that way):
   /// only wires the dump sink, never touches the tracer, so it is safe even
   /// while other threads record.
@@ -150,9 +151,6 @@ FlightRecorder& recorder();
 
 /// True when NEURO_POSTMORTEM_DIR names a dump directory.
 [[nodiscard]] bool postmortem_enabled_by_env();
-/// NEURO_POSTMORTEM_RING (default 4096, clamped to >= 1024 so the per-rank
-/// retention contract of the bundle validator always holds).
-[[nodiscard]] std::size_t postmortem_ring_capacity_from_env();
 
 /// Installs std::signal handlers (SIGSEGV, SIGABRT, SIGFPE) that write a
 /// best-effort kFatalSignal bundle through recorder() and re-raise. Not

@@ -7,6 +7,7 @@
 #include <thread>
 #include <utility>
 
+#include "base/check.h"
 #include "obs/flight_recorder.h"
 #include "obs/json_writer.h"
 
@@ -109,11 +110,10 @@ void Span::attr(std::string_view key, std::string_view value) {
 // ---------------------------------------------------------------------------
 // Tracer
 
-/// One thread's event buffer. The owning thread appends without locking; the
-/// registration list is the only shared state under a mutex. In ring mode the
-/// buffer doubles as a circular window over the last ring_capacity events and
-/// `gen` (odd while an append is in flight, even at rest) lets a concurrent
-/// dump_ring wait out in-flight appends; see Tracer::record.
+/// One thread's ring of its last ring_capacity events. The owning thread
+/// writes without locking; the registration list is the only shared state
+/// under a mutex. `gen` (odd while a write is in flight, even at rest) lets a
+/// concurrent dump_ring wait out in-flight writes; see Tracer::record.
 struct Tracer::Stream {
   std::thread::id owner;
   std::vector<TraceEvent> events;
@@ -145,10 +145,8 @@ std::uint64_t next_tracer_id() {
 Tracer::Tracer(bool enabled) : Tracer(enabled, Options{}) {}
 
 Tracer::Tracer(bool enabled, Options options)
-    : options_(options),
-      id_(next_tracer_id()),
-      epoch_(std::chrono::steady_clock::now()) {
-  ring_capacity_.store(options.ring_capacity, std::memory_order_relaxed);
+    : id_(next_tracer_id()), epoch_(std::chrono::steady_clock::now()) {
+  set_ring_capacity(options.ring_capacity);
   set_enabled(enabled);
 }
 
@@ -190,24 +188,12 @@ Tracer::Stream* Tracer::stream_for_this_thread() {
 void Tracer::record(TraceEvent event) {
   Stream* stream = stream_for_this_thread();
   const std::size_t ring = ring_capacity_.load(std::memory_order_relaxed);
-  if (ring == 0) {
-    // Append-and-cap mode: no concurrent readers by contract, so no
-    // handshake — this is the path the BM_Span* overhead gates cover.
-    stream->last_rank = event.rank;  // attributes drops to the right rank
-    if (stream->events.size() >= options_.max_events_per_stream) {
-      stream->dropped.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    event.seq = stream->seq++;
-    stream->events.push_back(std::move(event));
-    return;
-  }
-  // Ring mode. Writers never block: mark the append in flight (gen goes
-  // odd), then check for a concurrent dump. The seq_cst ordering on both
-  // sides makes this a store-buffering handshake — either the dumper sees
-  // this stream's odd gen and waits for it to go even again, or this writer
-  // sees dump_pending and sheds the event without touching the ring. Either
-  // way the dumper never copies a half-written ring slot.
+  // Writers never block: mark the write in flight (gen goes odd), then check
+  // for a concurrent dump. The seq_cst ordering on both sides makes this a
+  // store-buffering handshake — either the dumper sees this stream's odd gen
+  // and waits for it to go even again, or this writer sees dump_pending and
+  // sheds the event without touching the ring. Either way the dumper never
+  // copies a half-written ring slot.
   stream->gen.fetch_add(1, std::memory_order_seq_cst);
   if (dump_pending_.load(std::memory_order_seq_cst)) {
     stream->dropped.fetch_add(1, std::memory_order_relaxed);
@@ -254,35 +240,30 @@ std::size_t Tracer::dropped_count() const {
   base::MutexLock lock(streams_mutex_);
   std::size_t n = 0;
   for (const auto& s : streams_) {
-    n += s->dropped.load(std::memory_order_relaxed);
+    n += s->wrapped.load(std::memory_order_relaxed) +
+         s->dropped.load(std::memory_order_relaxed);
   }
   return n;
 }
 
-std::vector<TraceEvent> Tracer::snapshot() const {
-  std::vector<TraceEvent> merged;
-  {
-    base::MutexLock lock(streams_mutex_);
-    for (const auto& s : streams_) {
-      merged.insert(merged.end(), s->events.begin(), s->events.end());
-    }
-  }
-  // Deterministic merge order regardless of stream registration order:
-  // by rank track, then time; ties put the longer (enclosing) span first so
-  // viewers nest complete events correctly.
-  std::sort(merged.begin(), merged.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              if (a.rank != b.rank) return a.rank < b.rank;
-              if (a.ts_us != b.ts_us) return a.ts_us < b.ts_us;
-              if (a.dur_us != b.dur_us) return a.dur_us > b.dur_us;
-              if (a.seq != b.seq) return a.seq < b.seq;
-              return a.name < b.name;
-            });
-  return merged;
-}
+std::vector<TraceEvent> Tracer::snapshot() const { return dump_ring().events; }
 
 void Tracer::write_chrome_trace(std::ostream& os) const {
-  const std::vector<TraceEvent> events = snapshot();
+  const RingDump dump = dump_ring();
+  const std::vector<TraceEvent>& events = dump.events;
+  // Per-rank loss: events overwritten by ring wrap plus events shed during a
+  // dump, attributed to the rank each stream last recorded for. The streams
+  // arrive sorted by rank.
+  std::vector<std::pair<int, std::uint64_t>> lost_by_rank;
+  for (const auto& s : dump.streams) {
+    const std::uint64_t n = s.wrapped + s.dropped;
+    if (n == 0) continue;
+    if (!lost_by_rank.empty() && lost_by_rank.back().first == s.rank) {
+      lost_by_rank.back().second += n;
+    } else {
+      lost_by_rank.emplace_back(s.rank, n);
+    }
+  }
   std::vector<int> ranks;
   for (const auto& e : events) {
     if (std::find(ranks.begin(), ranks.end(), e.rank) == ranks.end()) {
@@ -308,26 +289,10 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
        << (rank < 0 ? std::string("main") : "rank " + std::to_string(rank))
        << "\"}}";
   }
-  // Per-thread truncation accounting: one instant per rank that dropped
-  // events, on that rank's own track, plus a `C` counter series so viewers
-  // and check_trace.py can attribute loss to the thread that suffered it.
-  std::vector<std::pair<int, std::uint64_t>> dropped_by_rank;
-  {
-    base::MutexLock lock(streams_mutex_);
-    for (const auto& s : streams_) {
-      const std::uint64_t n = s->dropped.load(std::memory_order_relaxed);
-      if (n == 0) continue;
-      auto it = std::find_if(dropped_by_rank.begin(), dropped_by_rank.end(),
-                             [&](const auto& e) { return e.first == s->last_rank; });
-      if (it == dropped_by_rank.end()) {
-        dropped_by_rank.emplace_back(s->last_rank, n);
-      } else {
-        it->second += n;
-      }
-    }
-  }
-  std::sort(dropped_by_rank.begin(), dropped_by_rank.end());
-  for (const auto& [rank, n] : dropped_by_rank) {
+  // One loss instant per affected rank, on that rank's own track, plus a
+  // `C` counter series so viewers and check_trace.py can attribute loss to
+  // the thread that suffered it.
+  for (const auto& [rank, n] : lost_by_rank) {
     sep();
     os << R"({"ph":"I","pid":0,"tid":)" << tid_of_rank(rank)
        << R"(,"ts":0,"s":"t","name":"trace_truncated","args":{"dropped":)" << n
@@ -382,6 +347,7 @@ void Tracer::clear() {
 }
 
 void Tracer::set_ring_capacity(std::size_t capacity) {
+  NEURO_REQUIRE(capacity > 0, "Tracer: ring_capacity >= 1");
   clear();
   ring_capacity_.store(capacity, std::memory_order_relaxed);
 }
@@ -389,10 +355,10 @@ void Tracer::set_ring_capacity(std::size_t capacity) {
 Tracer::RingDump Tracer::dump_ring() const {
   RingDump dump;
   dump.ring_capacity = ring_capacity_.load(std::memory_order_relaxed);
-  // Park concurrent writers: after this store, a ring-mode writer either
-  // observes it and sheds its event, or had already gone in-flight (odd
-  // gen) — the per-stream wait below lets those retire. A stream observed
-  // even after the store stays untouched until dump_pending_ clears.
+  // Park concurrent writers: after this store, a writer either observes it
+  // and sheds its event, or had already gone in-flight (odd gen) — the
+  // per-stream wait below lets those retire. A stream observed even after
+  // the store stays untouched until dump_pending_ clears.
   dump_pending_.store(true, std::memory_order_seq_cst);
   {
     base::MutexLock lock(streams_mutex_);
@@ -418,6 +384,9 @@ Tracer::RingDump Tracer::dump_ring() const {
               if (a.rank != b.rank) return a.rank < b.rank;
               return a.recorded < b.recorded;
             });
+  // Deterministic merge order regardless of stream registration order: by
+  // rank track, then time; ties put the longer (enclosing) span first so
+  // viewers nest complete events correctly.
   std::sort(dump.events.begin(), dump.events.end(),
             [](const TraceEvent& a, const TraceEvent& b) {
               if (a.rank != b.rank) return a.rank < b.rank;
@@ -436,11 +405,11 @@ namespace {
 
 Tracer::Options global_tracer_options() {
   Tracer::Options options;
-  // Arming the flight recorder via NEURO_POSTMORTEM_DIR switches the global
-  // tracer into ring mode from construction, before any thread records, so
-  // no quiescent reconfiguration is ever needed on the env path.
+  // Arming the flight recorder via NEURO_POSTMORTEM_DIR gives the global
+  // tracer the recorder's ring from construction, before any thread
+  // records, so no quiescent reconfiguration is ever needed on the env path.
   if (postmortem_enabled_by_env()) {
-    options.ring_capacity = postmortem_ring_capacity_from_env();
+    options.ring_capacity = FlightRecorder::Options{}.ring_capacity;
   }
   return options;
 }

@@ -2,36 +2,38 @@
 //
 // A Tracer collects timestamped spans and counter samples into per-thread
 // (per-rank: the SPMD runtime binds each rank thread via set_thread_rank)
-// append-only streams and merges them into one Chrome trace-event JSON file —
-// one Perfetto "thread" per rank, spans as complete `X` events, counter
-// samples as `C` events. Spans are RAII, nest by scope, and carry key/value
+// streams and merges them into one Chrome trace-event JSON file — one
+// Perfetto "thread" per rank, spans as complete `X` events, counter samples
+// as `C` events. Spans are RAII, nest by scope, and carry key/value
 // attributes (the Krylov loops attach the residual and the allreduce count of
 // every iteration; the communicator attaches src/tag/bytes to halo waits).
+//
+// Every stream is a bounded ring of Options::ring_capacity events: it grows
+// until full, then overwrites its oldest event. The default (1 << 22) keeps a
+// whole traced batch run; obs::FlightRecorder::arm shrinks it at a quiescent
+// point so a long-running service keeps the last N events indefinitely. The
+// export marks every rank that lost events — to ring wrap, or shed during a
+// concurrent dump — with `trace_truncated`/`trace_dropped` events, and
+// tools/obs/check_trace.py rejects such a trace.
 //
 // Cost model:
 //   * tracer disabled (the clinical default): Tracer::span() is one relaxed
 //     atomic load and returns an inert Span — no clock read, no allocation.
 //     bench_micro's BM_SpanOverhead pins this down; CI gates it.
-//   * tracer enabled: two steady_clock reads plus one append to the calling
-//     thread's own stream (no lock on the hot path; a mutex is taken once per
+//   * tracer enabled: two steady_clock reads plus one write into the calling
+//     thread's own ring (no lock on the hot path; a mutex is taken once per
 //     thread per tracer to register the stream).
 //   * NEURO_OBS_DISABLED compile definition: Tracer::enabled() is constant
 //     false, so instrumentation behind it folds to nothing at compile time.
 //
-// Export (write_chrome_trace / snapshot) must only run when no thread is
-// actively recording — after run_spmd has joined its rank threads. The
+// dump_ring() may run *while other threads record*: writers stay lock-free
+// and wait-free (they drop the one colliding event into the per-stream
+// dropped counter instead of blocking), and the dumper waits for each
+// in-flight write to retire before copying that stream. Every other reader
+// (snapshot, write_chrome_trace, event_count, clear) must only run when no
+// thread is recording — after run_spmd has joined its rank threads. The
 // pipeline, CLI and benches all export at end of run, which satisfies this.
-//
-// Flight-recorder (ring) mode: setting Options::ring_capacity (or
-// set_ring_capacity at a quiescent point) turns each per-thread stream into a
-// bounded ring that retains the last-N events indefinitely instead of
-// truncating — the black-box mode long-running services arm so a triggered
-// post-mortem dump (obs::FlightRecorder) always has recent history. In ring
-// mode dump_ring() may run *while other threads record*: writers stay
-// lock-free and wait-free (they drop the one colliding event into the
-// per-stream dropped counter instead of blocking), and the dumper waits for
-// each in-flight append to retire before copying that stream. See
-// docs/observability.md for the full quiescence contract.
+// See docs/observability.md for the full quiescence contract.
 #pragma once
 
 #include <atomic>
@@ -134,14 +136,10 @@ class Span {
 class Tracer {
  public:
   struct Options {
-    /// Per-stream event cap; appends beyond it are counted, not stored, and
-    /// the export marks the trace truncated (check_trace.py rejects such
-    /// traces unless told otherwise). Bounds tracer memory on runaway loops.
-    std::size_t max_events_per_stream = 1u << 22;
-    /// Nonzero switches every stream into flight-recorder (ring) mode: each
-    /// stream keeps the most recent ring_capacity events, overwriting the
-    /// oldest instead of truncating. Zero keeps the append-and-cap mode.
-    std::size_t ring_capacity = 0;
+    /// Events each per-thread stream retains (>= 1). Once full, a stream
+    /// overwrites its oldest event; the export reports the loss. Bounds
+    /// tracer memory on runaway loops.
+    std::size_t ring_capacity = 1u << 22;
   };
 
   explicit Tracer(bool enabled = false);
@@ -176,32 +174,33 @@ class Tracer {
   /// counter track per rank). No-op while disabled.
   void counter(std::string_view name, double value);
 
-  /// Number of events recorded so far across all streams (quiescent only).
+  /// Number of events retained across all streams (quiescent only).
   [[nodiscard]] std::size_t event_count() const NEURO_EXCLUDES(streams_mutex_);
-  /// Events dropped by the per-stream cap (quiescent only).
+  /// Events lost to ring wrap or shed during a dump (quiescent only).
   [[nodiscard]] std::size_t dropped_count() const
       NEURO_EXCLUDES(streams_mutex_);
 
-  /// Deterministic merged copy of all streams: sorted by (rank, ts, -dur,
-  /// seq). Call only while no thread is recording.
+  /// Deterministic merged copy of all streams: dump_ring().events, sorted by
+  /// (rank, ts, -dur, seq). Call only while no thread is recording.
   [[nodiscard]] std::vector<TraceEvent> snapshot() const
       NEURO_EXCLUDES(streams_mutex_);
 
   /// Writes the merged Chrome trace-event JSON ({"traceEvents": [...]}):
-  /// thread-name metadata per rank, spans as `X`, counters as `C`. The
-  /// output is a deterministic function of the collected events. Call only
-  /// while no thread is recording.
+  /// thread-name metadata per rank, a `trace_truncated` instant and a
+  /// `trace_dropped` counter on each rank that lost events, spans as `X`,
+  /// counters as `C`. The output is a deterministic function of the
+  /// collected events. Call only while no thread is recording.
   void write_chrome_trace(std::ostream& os) const;
 
   /// Discards all collected events (quiescent only). Streams registered by
   /// live threads stay registered.
   void clear() NEURO_EXCLUDES(streams_mutex_);
 
-  /// Switches ring mode on (nonzero) or off (zero) and discards all
-  /// collected events. Quiescent only — call before spawning recording
-  /// threads (obs::FlightRecorder::arm does this).
+  /// Sets the per-stream capacity (>= 1) and discards all collected events.
+  /// Quiescent only — call before spawning recording threads
+  /// (obs::FlightRecorder::arm does this).
   void set_ring_capacity(std::size_t capacity) NEURO_EXCLUDES(streams_mutex_);
-  /// Current ring capacity (0 = append-and-cap mode).
+  /// Current per-stream capacity.
   [[nodiscard]] std::size_t ring_capacity() const {
     return ring_capacity_.load(std::memory_order_relaxed);
   }
@@ -213,7 +212,7 @@ class Tracer {
     std::uint64_t recorded = 0;  ///< events ever recorded into the stream
     std::uint64_t retained = 0;  ///< events present in the dump
     std::uint64_t wrapped = 0;   ///< events overwritten by ring wrap
-    std::uint64_t dropped = 0;   ///< cap drops + events shed during dumps
+    std::uint64_t dropped = 0;   ///< events shed during dumps
   };
 
   /// One triggered flight-recorder dump: ring contents of every non-empty
@@ -224,10 +223,9 @@ class Tracer {
     std::vector<TraceEvent> events;
   };
 
-  /// Copies the retained events of every stream. In ring mode this is safe
-  /// while other threads record (see the quiescence contract in the file
-  /// header); in append-and-cap mode call it only at quiescence. Streams
-  /// that never recorded are omitted.
+  /// Copies the retained events of every stream. Safe while other threads
+  /// record (see the quiescence contract in the file header). Streams that
+  /// never recorded are omitted.
   [[nodiscard]] RingDump dump_ring() const NEURO_EXCLUDES(streams_mutex_);
 
   /// Opaque per-thread event buffer (defined in trace.cpp).
@@ -244,16 +242,15 @@ class Tracer {
   // enabled_ is the lock-free fast-path switch (annotation-exempt: a relaxed
   // atomic, see the cost model above). streams_mutex_ guards only the
   // registration list; the Stream buffers it points to are annotation-exempt
-  // by design — each is appended to exclusively by its owning thread, and
-  // cross-thread reads (snapshot/export) are restricted to quiescent points
-  // after run_spmd has joined its rank threads (the export contract above).
+  // by design — each is written exclusively by its owning thread, and
+  // cross-thread reads go through dump_ring's handshake or happen at
+  // quiescent points (the contract above).
   std::atomic<bool> enabled_{false};
-  // Ring mode: ring_capacity_ is read relaxed on the record path;
-  // dump_pending_ is the seq_cst handshake with in-flight appends (each
-  // Stream carries an odd/even generation counter; see record/dump_ring).
+  // ring_capacity_ is read relaxed on the record path; dump_pending_ is the
+  // seq_cst handshake with in-flight writes (each Stream carries an odd/even
+  // generation counter; see record/dump_ring).
   std::atomic<std::size_t> ring_capacity_{0};
   mutable std::atomic<bool> dump_pending_{false};
-  Options options_;
   std::uint64_t id_ = 0;  ///< process-unique, keys the thread-local cache
   std::chrono::steady_clock::time_point epoch_;
   mutable base::Mutex streams_mutex_;

@@ -228,16 +228,23 @@ class Communicator {
   template <typename T>
   void allreduce_sum(std::span<T> inout) {
     static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<T> local(inout.begin(), inout.end());
-    publish(OpKind::kAllreduceSum, local.data(), local.size() * sizeof(T));
+    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+    // Publish a copy, since inout is overwritten while the other ranks still
+    // read it. The copy lives in this communicator's scratch, reused across
+    // calls: release() is a barrier, so every rank has finished reading it
+    // before this rank's next collective writes it again.
+    const std::size_t bytes = inout.size_bytes();
+    std::byte* copy = reduce_scratch(bytes);
+    if (bytes > 0) std::memcpy(copy, inout.data(), bytes);
+    publish(OpKind::kAllreduceSum, copy, bytes);
     for (std::size_t i = 0; i < inout.size(); ++i) inout[i] = T{};
     for (int r = 0; r < size(); ++r) {
       const auto* src = static_cast<const T*>(team_->slot(r).data);
-      NEURO_CHECK(team_->slot(r).bytes == local.size() * sizeof(T));
+      NEURO_CHECK(team_->slot(r).bytes == bytes);
       for (std::size_t i = 0; i < inout.size(); ++i) inout[i] += src[i];
     }
     team_->release(rank_);
-    work_.add_collective(static_cast<double>(local.size() * sizeof(T)));
+    work_.add_collective(static_cast<double>(bytes));
   }
 
   /// Scalar sum-allreduce.
@@ -469,12 +476,24 @@ class Communicator {
     }
   }
 
+  /// allreduce_sum's scratch for `bytes`: the inline buffer, which holds the
+  /// solver's reductions and a 32-bin MI histogram, or a heap buffer kept
+  /// for larger spans. The inline buffer lives on the rank thread's stack,
+  /// so those reductions leave the heap and its layout untouched.
+  std::byte* reduce_scratch(std::size_t bytes) {
+    if (bytes <= sizeof(reduce_inline_)) return reduce_inline_;
+    if (reduce_heap_.size() < bytes) reduce_heap_.resize(bytes);
+    return reduce_heap_.data();
+  }
+
   int rank_;
   detail::Team* team_;
   bool verify_;
   std::uint64_t seq_ = 0;
   std::uint64_t p2p_seq_ = 0;
   WorkCounter work_;
+  alignas(64) std::byte reduce_inline_[8192];
+  std::vector<std::byte> reduce_heap_;
 };
 
 /// Half-open index range [begin, end).

@@ -67,7 +67,7 @@ struct RetryPolicy {
 /// Live service telemetry: rolling SLO quantiles over recent requests,
 /// queue-depth history, and an optional periodic snapshot publisher. The
 /// snapshot format ("neuro.snapshot.v1") is documented in
-/// docs/observability.md; `neurofem obs --snapshot FILE` pretty-prints one.
+/// docs/observability.md; it is a machine interface for any JSON reader.
 struct TelemetryOptions {
   /// > 0 starts a publisher thread that writes snapshot_path every
   /// interval (and once more at shutdown). 0 = synchronous-only (tests call

@@ -1,5 +1,5 @@
 // Tests for the flight recorder (src/obs/flight_recorder.*) and the
-// tracer's ring mode: bounded last-N retention, the writer/dumper
+// tracer's ring: bounded last-N retention, the writer/dumper
 // quiescence handshake, byte-identical post-mortem bundles for seeded
 // multi-rank workloads, trigger plumbing (status mapping, check-failure
 // hook, dump rate limiting), and residual-history extraction.
@@ -59,20 +59,6 @@ TEST(RingMode, WrapRetainsTheLastN) {
     EXPECT_EQ(dump.events[i].name, name(12 + i)) << i;
     EXPECT_EQ(dump.events[i].seq, 12 + i);
   }
-}
-
-TEST(RingMode, LegacyPathUnaffectedWhenRingIsZero) {
-  if (!kObsCompiledIn) GTEST_SKIP() << "built with NEURO_OBS=OFF";
-  Tracer::Options options;
-  options.max_events_per_stream = 4;
-  Tracer tracer(true, options);
-  for (int i = 0; i < 10; ++i) tracer.span("s").close();
-  EXPECT_EQ(tracer.event_count(), 4u);   // grow-then-cap, oldest kept
-  EXPECT_EQ(tracer.dropped_count(), 6u);
-  // A ring dump of a legacy-mode tracer reports what the cap retained.
-  const Tracer::RingDump dump = tracer.dump_ring();
-  ASSERT_EQ(dump.streams.size(), 1u);
-  EXPECT_EQ(dump.streams[0].retained, 4u);
 }
 
 /// Deterministic multi-rank workload: each rank records the same seeded
@@ -222,7 +208,7 @@ TEST(FlightRecorderTest, DumpWritesValidatedBundleAndRateLimits) {
   options.max_dumps = 2;
   recorder_local.arm(options);
   EXPECT_TRUE(recorder_local.armed());
-  EXPECT_EQ(tracer.ring_capacity(), 1024u);  // arm flips the tracer to ring mode
+  EXPECT_EQ(tracer.ring_capacity(), 1024u);  // arm resizes the tracer's ring
 
   tracer.span("solve").close();
   DumpContext context;
@@ -293,11 +279,9 @@ TEST(CheckFailureHook, FiresOnceBeforeTheThrow) {
   set_check_failure_hook(previous);
 }
 
-TEST(PostmortemEnv, RingCapacityIsClampedAndArmingIsExplicit) {
+TEST(PostmortemEnv, ArmingIsExplicit) {
   const char* saved_dir = std::getenv("NEURO_POSTMORTEM_DIR");
   const std::string saved_dir_value = saved_dir != nullptr ? saved_dir : "";
-  const char* saved_ring = std::getenv("NEURO_POSTMORTEM_RING");
-  const std::string saved_ring_value = saved_ring != nullptr ? saved_ring : "";
 
   ::unsetenv("NEURO_POSTMORTEM_DIR");
   EXPECT_FALSE(postmortem_enabled_by_env());
@@ -306,22 +290,10 @@ TEST(PostmortemEnv, RingCapacityIsClampedAndArmingIsExplicit) {
   ::setenv("NEURO_POSTMORTEM_DIR", "/tmp/x", 1);
   EXPECT_TRUE(postmortem_enabled_by_env());
 
-  ::unsetenv("NEURO_POSTMORTEM_RING");
-  EXPECT_EQ(postmortem_ring_capacity_from_env(), 4096u);
-  ::setenv("NEURO_POSTMORTEM_RING", "10", 1);  // typo-proof: below the floor
-  EXPECT_EQ(postmortem_ring_capacity_from_env(), 1024u);
-  ::setenv("NEURO_POSTMORTEM_RING", "8192", 1);
-  EXPECT_EQ(postmortem_ring_capacity_from_env(), 8192u);
-
   if (saved_dir != nullptr) {
     ::setenv("NEURO_POSTMORTEM_DIR", saved_dir_value.c_str(), 1);
   } else {
     ::unsetenv("NEURO_POSTMORTEM_DIR");
-  }
-  if (saved_ring != nullptr) {
-    ::setenv("NEURO_POSTMORTEM_RING", saved_ring_value.c_str(), 1);
-  } else {
-    ::unsetenv("NEURO_POSTMORTEM_RING");
   }
 }
 

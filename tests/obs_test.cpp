@@ -129,18 +129,30 @@ TEST(ScopedThreadRankTest, BindsAndRestores) {
 TEST(Tracer, StreamCapTruncatesAndIsReportedPerThread) {
   if (!kObsCompiledIn) GTEST_SKIP() << "built with NEURO_OBS=OFF";
   Tracer::Options options;
-  options.max_events_per_stream = 4;
+  options.ring_capacity = 4;
   Tracer tracer(true, options);
   const auto worker = [&tracer](int rank, int n) {
     ScopedThreadRank scoped(rank);
-    for (int i = 0; i < n; ++i) tracer.span("s").close();
+    for (int i = 0; i < n; ++i) {
+      tracer.span(std::string("s").append(std::to_string(i))).close();
+    }
   };
-  std::thread rank0(worker, 0, 10);  // drops 6
-  std::thread rank1(worker, 1, 7);   // drops 3
+  std::thread rank0(worker, 0, 10);  // wraps 6
+  std::thread rank1(worker, 1, 7);   // wraps 3
   rank0.join();
   rank1.join();
   EXPECT_EQ(tracer.event_count(), 8u);
   EXPECT_EQ(tracer.dropped_count(), 9u);
+  // Each rank's ring retains its last four events, in recording order.
+  const std::vector<TraceEvent> events = tracer.snapshot();
+  ASSERT_EQ(events.size(), 8u);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const int rank = i < 4 ? 0 : 1;
+    const std::size_t seq = (rank == 0 ? 6u : 3u) + i % 4;
+    EXPECT_EQ(events[i].rank, rank) << i;
+    EXPECT_EQ(events[i].seq, seq) << i;
+    EXPECT_EQ(events[i].name, std::string("s").append(std::to_string(seq))) << i;
+  }
   std::ostringstream os;
   tracer.write_chrome_trace(os);
   const std::string trace = os.str();

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -111,6 +112,18 @@ TEST(AllreduceTest, VectorSum) {
     comm.allreduce_sum(std::span<double>(v.data(), v.size()));
     EXPECT_DOUBLE_EQ(v[0], 6.0);  // 0+1+2+3
     EXPECT_DOUBLE_EQ(v[1], 4.0);
+    // Past the communicator's 8 KB inline scratch, back inside it, then
+    // past it again without growing the heap scratch.
+    for (const std::int64_t n : {3000, 2, 1100}) {
+      std::vector<std::int64_t> w(static_cast<std::size_t>(n));
+      for (std::int64_t i = 0; i < n; ++i) {
+        w[static_cast<std::size_t>(i)] = comm.rank() * 1000 + i;
+      }
+      comm.allreduce_sum(std::span<std::int64_t>(w));
+      for (std::int64_t i = 0; i < n; ++i) {
+        ASSERT_EQ(w[static_cast<std::size_t>(i)], 6000 + 4 * i) << n << " " << i;
+      }
+    }
   });
 }
 

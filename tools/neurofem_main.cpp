@@ -18,10 +18,6 @@
 //
 //   neurofem info     --volume v.mhd
 //       Prints geometry and intensity statistics.
-//
-//   neurofem obs      --bundle postmortem.json | --snapshot snapshot.json
-//       Pretty-prints a flight-recorder post-mortem bundle or a live
-//       telemetry snapshot (docs/observability.md).
 #include <cstdio>
 #include <cstring>
 
@@ -34,7 +30,6 @@ int cmd_segment(int argc, char** argv);
 int cmd_mesh(int argc, char** argv);
 int cmd_info(int argc, char** argv);
 int cmd_warp(int argc, char** argv);
-int cmd_obs(int argc, char** argv);
 }  // namespace neuro::cli
 
 namespace {
@@ -49,7 +44,6 @@ void usage() {
       "  mesh      tetrahedral meshing of a label volume\n"
       "  info      inspect a MetaImage volume\n"
       "  warp      apply a stored deformation field to further volumes\n"
-      "  obs       pretty-print post-mortem bundles and telemetry snapshots\n"
       "run `neurofem <command>` with no flags to see its required inputs.\n");
 }
 
@@ -68,7 +62,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(cmd, "mesh") == 0) return neuro::cli::cmd_mesh(argc, argv);
     if (std::strcmp(cmd, "info") == 0) return neuro::cli::cmd_info(argc, argv);
     if (std::strcmp(cmd, "warp") == 0) return neuro::cli::cmd_warp(argc, argv);
-    if (std::strcmp(cmd, "obs") == 0) return neuro::cli::cmd_obs(argc, argv);
     std::fprintf(stderr, "neurofem: unknown command '%s'\n", cmd);
     usage();
     return 2;

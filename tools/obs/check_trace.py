@@ -1,7 +1,11 @@
 #!/usr/bin/env python3
-"""Validate observability artifacts exported by neuro::obs.
+"""Validate and summarize observability artifacts exported by neuro::obs.
 
-Default mode — Chrome trace-event JSON (Tracer::write_chrome_trace):
+The artifact type comes from the document itself: a top-level "traceEvents"
+list is a Chrome trace, "schema": "neuro.postmortem.v1" a post-mortem bundle.
+Unreadable or malformed JSON and unknown documents fail with one FAIL: line.
+
+Chrome trace-event JSON (Tracer::write_chrome_trace):
 
   1. Schema: top-level {"traceEvents": [...]}, every event a dict with a
      known phase ("M" metadata, "X" complete span, "C" counter, "I" instant),
@@ -15,9 +19,9 @@ Default mode — Chrome trace-event JSON (Tracer::write_chrome_trace):
      (child fully contained in parent) or are disjoint; partial overlap
      means a Span outlived its parent scope and the trace would render
      nonsense in Perfetto.
-  5. Truncation: "trace_truncated" instant events (one per rank whose stream
-     dropped events) fail validation unless --allow-truncated is given; the
-     failure message sums the per-rank drop counts.
+  5. Completeness: "trace_truncated" instant events (one per rank whose ring
+     wrapped or shed events during a dump) fail validation; the failure
+     message sums the per-rank loss counts.
 
 With --expect-pipeline the trace must additionally look like a full
 run_intraop_pipeline run: one span per pipeline stage (the preop-model stage
@@ -25,14 +29,14 @@ carrying its 0/1 "reused" attribute), at least one "fem.rung" span per
 degradation rung attempted, and at least one Krylov per-iteration span
 carrying a "residual" attribute.
 
-Bundle mode (--bundle) — flight-recorder post-mortem JSON
-(obs::FlightRecorder::write_bundle, schema neuro.postmortem.v1):
+Post-mortem bundle (obs::FlightRecorder::write_bundle, schema
+neuro.postmortem.v1):
 
   1. Schema: required top-level sections (trigger, provenance, streams,
      ring, metrics, residual_history) with well-formed contents.
   2. Trigger: a known kind, and the ring must retain the "recorder.trigger"
      span whose args.trigger matches it (the bundle explains itself).
-  3. Retention: ring capacity >= --min-ring (default 1000); per stream,
+  3. Retention: ring capacity >= 1000 events per rank; per stream,
      retained == min(recorded, capacity) and wrapped == max(0,
      recorded - capacity) -- the ring keeps the *last* N events, always.
   4. Rank coverage: with --expect-ranks N, stream stats for ranks 0..N-1
@@ -40,9 +44,11 @@ Bundle mode (--bundle) — flight-recorder post-mortem JSON
   5. Residual history: per (solver, rank), iteration numbers strictly
      increase and residuals are finite.
 
-Usage: check_trace.py trace.json [--expect-pipeline] [--allow-truncated]
-       check_trace.py postmortem.json --bundle [--min-ring N]
-                      [--expect-ranks N] [--expect-trigger KIND]
+A valid bundle is also summarized: the trigger and its detail, the stream
+table, the last 10 ring events, and the final residual per solver and rank.
+
+Usage: check_trace.py trace.json [--expect-pipeline]
+       check_trace.py postmortem.json [--expect-ranks N] [--expect-trigger KIND]
 """
 
 import argparse
@@ -62,6 +68,12 @@ PIPELINE_STAGES = [
     "pipeline.visualization_resample",
 ]
 KRYLOV_SPANS = ("gmres.iteration", "cg.iteration", "bicgstab.iteration")
+BUNDLE_SCHEMA = "neuro.postmortem.v1"
+# The flight recorder's retention contract: every rank's ring holds at least
+# this many events.
+MIN_RING = 1000
+# Ring events the bundle summary shows: the tail is where the incident is.
+SUMMARY_TAIL = 10
 BUNDLE_TRIGGERS = (
     "manual", "degradation", "watchdog", "comm_fault", "deadline_miss",
     "admission_storm", "check_failure", "fatal_signal",
@@ -201,11 +213,11 @@ def check_pipeline_expectations(events, errors):
             break
 
 
-def check_bundle_streams(bundle, min_ring, expect_ranks, errors):
+def check_bundle_streams(bundle, expect_ranks, errors):
     capacity = bundle.get("ring", {}).get("capacity")
-    if not isinstance(capacity, int) or capacity < min_ring:
+    if not isinstance(capacity, int) or capacity < MIN_RING:
         fail(errors, f"ring capacity {capacity!r} is below the retention "
-                     f"contract of {min_ring} events per rank")
+                     f"contract of {MIN_RING} events per rank")
         return
     streams = bundle.get("streams")
     if not isinstance(streams, list) or not streams:
@@ -318,9 +330,6 @@ def check_bundle_residuals(bundle, errors):
 
 
 def check_bundle(bundle, args, errors):
-    if bundle.get("schema") != "neuro.postmortem.v1":
-        fail(errors, f"schema {bundle.get('schema')!r} != 'neuro.postmortem.v1'")
-        return
     trigger = bundle.get("trigger")
     if not isinstance(trigger, dict) or trigger.get("kind") not in BUNDLE_TRIGGERS:
         kind = trigger.get("kind") if isinstance(trigger, dict) else None
@@ -339,22 +348,55 @@ def check_bundle(bundle, args, errors):
             and m.get("type") in ("counter", "gauge", "histogram")
             for m in metrics):
         fail(errors, "metrics section is not a list of typed instruments")
-    check_bundle_streams(bundle, args.min_ring, args.expect_ranks, errors)
+    check_bundle_streams(bundle, args.expect_ranks, errors)
     check_bundle_events(bundle, errors)
     check_bundle_residuals(bundle, errors)
 
 
-def run_bundle_mode(args):
-    with open(args.path) as f:
-        bundle = json.load(f)
-    if not isinstance(bundle, dict):
-        raise SystemExit("FAIL: top level is not a JSON object")
+def format_args(args):
+    return ", ".join(f"{k}={v}" for k, v in args.items())
+
+
+def print_bundle_summary(bundle):
+    trigger = bundle["trigger"]
+    print(f"trigger: {trigger['kind']}")
+    if trigger.get("detail"):
+        print(f"  detail: {trigger['detail']}")
+    if trigger.get("attrs"):
+        print(f"  {format_args(trigger['attrs'])}")
+
+    print(f"streams: {len(bundle['streams'])}")
+    columns = ("rank", "recorded", "retained", "wrapped", "dropped")
+    print("  " + " ".join(f"{c:>10}" for c in columns))
+    for stream in bundle["streams"]:
+        print("  " + " ".join(f"{stream[c]:>10}" for c in columns))
+
+    events = bundle["ring"]["events"]
+    print(f"ring: capacity {bundle['ring']['capacity']}, {len(events)} events "
+          f"retained; last {min(len(events), SUMMARY_TAIL)}:")
+    for e in events[-SUMMARY_TAIL:]:
+        dur = f" ({e['dur_us']:.3f} us)" if "dur_us" in e else ""
+        print(f"  [{e['rank']}/{e['seq']}] {e['kind']} {e['name']}{dur}")
+        if e.get("args"):
+            print(f"      {format_args(e['args'])}")
+
+    final = {}
+    for row in bundle["residual_history"]:
+        final[(row["solver"], row["rank"])] = row
+    print(f"residual history: {len(bundle['residual_history'])} rows")
+    for (solver, rank), row in sorted(final.items()):
+        print(f"  {solver} rank {rank}: final iteration {row['iteration']}, "
+              f"residual {row['residual']:.6g}")
+
+
+def run_bundle_mode(bundle, args):
     errors = []
     check_bundle(bundle, args, errors)
     for msg in errors:
         print(f"FAIL: {msg}")
     if errors:
         return 1
+    print_bundle_summary(bundle)
     streams = bundle["streams"]
     events = bundle["ring"]["events"]
     print(f"OK: bundle trigger '{bundle['trigger']['kind']}', "
@@ -364,12 +406,11 @@ def run_bundle_mode(args):
     return 0
 
 
-def run_trace_mode(args):
-    with open(args.path) as f:
-        trace = json.load(f)
-    if not isinstance(trace, dict) or not isinstance(trace.get("traceEvents"), list):
-        raise SystemExit("FAIL: top level is not {\"traceEvents\": [...]}")
+def run_trace_mode(trace, args):
     events = trace["traceEvents"]
+    if not isinstance(events, list):
+        print("FAIL: traceEvents is not a list")
+        return 1
 
     errors = []
     check_schema(events, errors)
@@ -377,11 +418,11 @@ def run_trace_mode(args):
         check_threads(events, errors)
         check_monotonic_and_nesting(events, errors)
         truncated = [e for e in events if e.get("name") == "trace_truncated"]
-        if truncated and not args.allow_truncated:
+        if truncated:
             total = sum(e.get("args", {}).get("dropped", 0) for e in truncated)
             ranks = sorted(e.get("args", {}).get("rank", "?") for e in truncated)
-            fail(errors, f"trace is truncated ({total} events dropped by the "
-                         f"per-stream cap across ranks {ranks})")
+            fail(errors, f"trace is truncated ({total} events lost to ring "
+                         f"wrap or dump shedding across ranks {ranks})")
         if args.expect_pipeline:
             check_pipeline_expectations(events, errors)
 
@@ -402,20 +443,32 @@ def main(argv):
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("path", help="trace or bundle JSON file")
-    parser.add_argument("--bundle", action="store_true",
-                        help="validate a post-mortem bundle instead of a trace")
     parser.add_argument("--expect-pipeline", action="store_true",
-                        help="trace mode: require full-pipeline span structure")
-    parser.add_argument("--allow-truncated", action="store_true",
-                        help="trace mode: tolerate trace_truncated instants")
-    parser.add_argument("--min-ring", type=int, default=1000,
-                        help="bundle mode: minimum ring capacity (default 1000)")
+                        help="trace: require full-pipeline span structure")
     parser.add_argument("--expect-ranks", type=int, default=None,
-                        help="bundle mode: require stream stats for ranks 0..N-1")
+                        help="bundle: require stream stats for ranks 0..N-1")
     parser.add_argument("--expect-trigger", default=None,
-                        help="bundle mode: require this trigger kind")
+                        help="bundle: require this trigger kind")
     args = parser.parse_args(argv[1:])
-    return run_bundle_mode(args) if args.bundle else run_trace_mode(args)
+    try:
+        with open(args.path) as f:
+            doc = json.load(f)
+    except (OSError, UnicodeDecodeError, ValueError, RecursionError) as e:
+        print(f"FAIL: cannot read {args.path} as JSON: {e}")
+        return 1
+    try:
+        if isinstance(doc, dict) and "traceEvents" in doc:
+            return run_trace_mode(doc, args)
+        if isinstance(doc, dict) and doc.get("schema") == BUNDLE_SCHEMA:
+            return run_bundle_mode(doc, args)
+    except (AttributeError, KeyError, TypeError) as e:
+        # A section of the wrong JSON type that the checks above walk into.
+        print(f"FAIL: {args.path} is malformed: {type(e).__name__}: {e}")
+        return 1
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    print(f"FAIL: {args.path} is neither a Chrome trace (top-level "
+          f"\"traceEvents\") nor a {BUNDLE_SCHEMA} bundle (schema {schema!r})")
+    return 1
 
 
 if __name__ == "__main__":
