@@ -248,15 +248,13 @@ struct SolveFixture {
   fem::MeshTopology topo;
   fem::MaterialMap materials = fem::MaterialMap::homogeneous_brain();
   fem::LocalSystem system;
-  std::unique_ptr<solver::Preconditioner> precond;
+  solver::BlockJacobiIlu0 precond;
 
   SolveFixture()
       : mesh(shared_mesh()),
         topo(fem::MeshTopology::build(mesh)),
-        system(make_system()) {
-    precond = solver::make_preconditioner(
-        solver::PreconditionerKind::kBlockJacobiIlu0, system.A);
-  }
+        system(make_system()),
+        precond(system.A) {}
 
   fem::LocalSystem make_system() {
     const auto part = mesh::partition_node_balanced(mesh.num_nodes(), 1);
@@ -306,7 +304,7 @@ void BM_Ilu0Apply(benchmark::State& state) {
     solver::DistVector r(fixture.system.b.global_size(), fixture.system.b.range(), 1.0);
     solver::DistVector z(fixture.system.b.global_size(), fixture.system.b.range());
     for (auto _ : state) {
-      fixture.precond->apply(r, z, comm);
+      fixture.precond.apply(r, z, comm);
       benchmark::DoNotOptimize(z.local().data());
     }
   });
@@ -409,20 +407,6 @@ void BM_ConnectedComponents(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<long>(mask.size()));
 }
 BENCHMARK(BM_ConnectedComponents)->Unit(benchmark::kMillisecond);
-
-void BM_Ic0Apply(benchmark::State& state) {
-  static SolveFixture fixture;
-  static const solver::BlockJacobiIc0 ic(fixture.system.A);
-  par::run_spmd(1, [&](par::Communicator& comm) {
-    solver::DistVector r(fixture.system.b.global_size(), fixture.system.b.range(), 1.0);
-    solver::DistVector z(fixture.system.b.global_size(), fixture.system.b.range());
-    for (auto _ : state) {
-      ic.apply(r, z, comm);
-      benchmark::DoNotOptimize(z.local().data());
-    }
-  });
-}
-BENCHMARK(BM_Ic0Apply)->Unit(benchmark::kMillisecond);
 
 void BM_ElementStrains(benchmark::State& state) {
   const auto& mesh = shared_mesh();

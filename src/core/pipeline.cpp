@@ -91,7 +91,11 @@ ImageF surface_sdf(const ImageL& labels, const PipelineConfig& config, int nrank
   ImageL mask = seg::mask_of_labels(labels, match_labels);
   // Stray classified voxels create spurious SDF attractors; the brain is one
   // connected object, so keep only the largest component.
-  if (config.clean_masks) mask = keep_largest_component(mask);
+  if (config.clean_masks) {
+    obs::Span span = obs::global_span("image.largest_component");
+    mask = keep_largest_component(mask);
+    span.attr("voxels", static_cast<std::int64_t>(mask.size()));
+  }
   ImageF sdf = zeros_on<float>(mask);
   Image3D<double> squared = zeros_on<double>(mask);
   par::run_spmd(nranks, [&](par::Communicator& comm) {
@@ -184,12 +188,14 @@ std::shared_ptr<PreopModel> build_preop_model(
                                               channels, squared, &comm);
     });
   }
-  model->prototypes =
-      reuse != nullptr && !reuse->empty()
-          ? *reuse
-          : seg::model_prototypes(
-                seg::build_feature_stack(intraop, model->localization, config.seg),
-                model->aligned_preop_labels, config.seg);
+  if (reuse != nullptr && !reuse->empty()) {
+    model->prototypes = *reuse;
+  } else {
+    obs::Span sub = obs::global_span("pipeline.seg.prototypes");
+    model->prototypes = seg::model_prototypes(
+        seg::build_feature_stack(intraop, model->localization, config.seg),
+        model->aligned_preop_labels, config.seg);
+  }
   // Classify the aligned preop scan with the same model (recorded prototype
   // locations, features refreshed — the paper's automatic model update), so
   // the preop and intraop surface-target masks share one boundary bias.

@@ -94,21 +94,10 @@ DeformationResult solve_deformation(
     const solver::DistVector& rhs = system.b;
     A.drop_zeros();
     A.setup_ghosts(comm);
-    const auto precond = solver::make_preconditioner(options.preconditioner, A,
-                                                     comm, options.schwarz_overlap);
+    const solver::BlockJacobiIlu0 precond(A);
     solver::DistVector x(rhs.global_size(), rhs.range(), 0.0);
-    solver::SolveStats local_stats;
-    switch (options.krylov) {
-      case KrylovKind::kGmres:
-        local_stats = solver::gmres(A, rhs, x, *precond, options.solver, comm);
-        break;
-      case KrylovKind::kCg:
-        local_stats = solver::cg(A, rhs, x, *precond, options.solver, comm);
-        break;
-      case KrylovKind::kBicgstab:
-        local_stats = solver::bicgstab(A, rhs, x, *precond, options.solver, comm);
-        break;
-    }
+    const solver::SolveStats local_stats =
+        solver::gmres(A, rhs, x, precond, options.solver, comm);
     comm.barrier();
     if (phase.active()) {
       phase.attr("iterations", local_stats.iterations);

@@ -2,7 +2,7 @@
 // brain deformation" step. Given the tetrahedral mesh, a material map and
 // prescribed surface displacements (plus an optional body force; those are
 // the only loads), it partitions the mesh, runs the SPMD assemble →
-// boundary-condition → Krylov-solve sequence on one scalar CSR operator (the
+// boundary-condition → GMRES-solve sequence on one scalar CSR operator (the
 // paper's configuration) on the requested number of ranks, and returns the
 // volumetric displacement field together with per-phase, per-rank work
 // records (the input to the scaling model) and measured wall-clock per phase.
@@ -21,7 +21,6 @@
 
 namespace neuro::fem {
 
-enum class KrylovKind { kGmres, kCg, kBicgstab };
 enum class PartitionKind {
   kNodeBalanced,          ///< the paper's: equal node counts
   kConnectivityBalanced,  ///< future-work: balance assembly work
@@ -31,11 +30,7 @@ enum class PartitionKind {
 struct DeformationSolveOptions {
   int nranks = 1;
   PartitionKind partition = PartitionKind::kNodeBalanced;
-  solver::PreconditionerKind preconditioner =
-      solver::PreconditionerKind::kBlockJacobiIlu0;
-  int schwarz_overlap = 1;  ///< used by kAdditiveSchwarzIlu0 only
-  KrylovKind krylov = KrylovKind::kGmres;  ///< the paper's solver
-  solver::SolverConfig solver;
+  solver::SolverConfig solver;  ///< the one solve: GMRES + block-Jacobi ILU(0)
   Vec3 body_force{};  ///< optional gravity-style load
 
   /// Seeded fault campaign applied to the SPMD run (par/fault_inject.h);

@@ -39,7 +39,6 @@ base::Status status_from_stats(const solver::SolveStats& stats) {
       code = base::StatusCode::kSolverDiverged;
       break;
     case solver::StopReason::kNumericalInvalid:
-    case solver::StopReason::kBreakdown:
       code = base::StatusCode::kNumericalInvalid;
       break;
     case solver::StopReason::kDeadlineExceeded:

@@ -7,7 +7,7 @@
 // ladder of cheaper approximations, each gated by the same acceptance test
 // (fem/field_validation.h):
 //
-//   rung 0  kFullSolve              the configured GMRES+preconditioner solve
+//   rung 0  kFullSolve              the configured GMRES + block-Jacobi solve
 //   rung 1  kRelaxedSolve           restarted GMRES, relaxed rtol, small
 //                                   iteration budget; accepts the best-so-far
 //                                   iterate when it improved the residual

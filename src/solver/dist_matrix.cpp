@@ -180,8 +180,7 @@ double DistCsrMatrix::value_at(GlobalRow global_row, GlobalRow global_col) const
   NEURO_REQUIRE(range_.contains(global_row), "value_at: row not owned");
   const int r = range_.offset_of(global_row);
   // Columns are sorted per row (assembly emits them in ascending dof order
-  // and drop_zeros preserves order), so a binary search replaces the linear
-  // scan — value_at is called per owned row by the Jacobi preconditioner.
+  // and drop_zeros preserves order), so a binary search finds the entry.
   const auto begin = global_cols_.begin() + row_ptr_[static_cast<std::size_t>(r)];
   const auto end = global_cols_.begin() + row_ptr_[static_cast<std::size_t>(r) + 1];
   const auto it = std::lower_bound(begin, end, global_col.value());

@@ -65,8 +65,8 @@ class DistCsrMatrix {
   [[nodiscard]] std::vector<double>& values() { return values_; }
 
   /// Extracts a copy of the diagonal block (columns within the owned range)
-  /// with local column indices — the input format of the local
-  /// ILU(0)/IC(0)/SSOR preconditioners.
+  /// with local column indices — the input of the block-Jacobi ILU(0)
+  /// factorization.
   void extract_diagonal_block(std::vector<int>& row_ptr, std::vector<int>& cols,
                               std::vector<double>& values) const;
 

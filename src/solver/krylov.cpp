@@ -1,11 +1,9 @@
 #include "solver/krylov.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cmath>
 #include <deque>
-#include <span>
 #include <sstream>
 
 #include "base/check.h"
@@ -22,7 +20,6 @@ const char* stop_reason_name(StopReason reason) {
     case StopReason::kDiverged: return "diverged";
     case StopReason::kNumericalInvalid: return "numerical_invalid";
     case StopReason::kDeadlineExceeded: return "deadline_exceeded";
-    case StopReason::kBreakdown: return "breakdown";
   }
   return "unknown";
 }
@@ -110,14 +107,13 @@ class Watchdog {
 /// solver.watchdog_fires.<reason> counter. Rank threads never write a
 /// post-mortem bundle themselves — the degradation ladder / service layer
 /// turns the surfaced stop into a dump once the ranks have joined.
-void note_watchdog_fire(const char* solver, StopReason stop, double residual,
-                        const std::string& message) {
+void note_watchdog_fire(StopReason stop, double residual, const std::string& message) {
   obs::metrics()
       .counter(std::string("solver.watchdog_fires.") + stop_reason_name(stop))
       .add(1);
   obs::Span fire = obs::global_span("watchdog.fire");
   if (fire.active()) {
-    fire.attr("solver", solver);
+    fire.attr("solver", "gmres");
     fire.attr("reason", stop_reason_name(stop));
     fire.attr("residual", residual);
     fire.attr("detail", message);
@@ -136,7 +132,7 @@ double true_residual_norm(const DistCsrMatrix& A, const DistVector& b,
 }
 
 SolveStats gmres(const DistCsrMatrix& A, const DistVector& b, DistVector& x,
-                 const Preconditioner& M, const SolverConfig& config,
+                 const BlockJacobiIlu0& M, const SolverConfig& config,
                  par::Communicator& comm) {
   NEURO_REQUIRE(config.gmres_restart >= 1, "gmres: restart must be >= 1");
   const int m = config.gmres_restart;
@@ -248,7 +244,7 @@ SolveStats gmres(const DistCsrMatrix& A, const DistVector& b, DistVector& x,
       // best-so-far iterate from the back-substitution below.
       stop = watchdog.poll(rho, stats.initial_residual);
       if (stop != StopReason::kConverged) {
-        note_watchdog_fire("gmres", stop, rho, watchdog.message());
+        note_watchdog_fire(stop, rho, watchdog.message());
         ++j;
         break;
       }
@@ -297,244 +293,6 @@ SolveStats gmres(const DistCsrMatrix& A, const DistVector& b, DistVector& x,
   } else {
     std::ostringstream oss;
     oss << "gmres: " << config.max_iterations
-        << " iterations exhausted at relative residual "
-        << stats.relative_residual();
-    stats.stop_message = oss.str();
-  }
-  return stats;
-}
-
-SolveStats cg(const DistCsrMatrix& A, const DistVector& b, DistVector& x,
-              const Preconditioner& M, const SolverConfig& config,
-              par::Communicator& comm) {
-  SolveStats stats;
-  DistVector r = like(b), z = like(b), p = like(b), Ap = like(b);
-
-  A.apply(x, r, comm);
-  r.scale(-1.0, comm);
-  r.axpy(1.0, b, comm);
-  stats.initial_residual = r.norm2(comm);
-  stats.final_residual = stats.initial_residual;
-  if (config.record_history) stats.history.push_back(stats.initial_residual);
-  if (stats.initial_residual <= config.atol) {
-    stats.converged = true;
-    stats.stop_reason = StopReason::kConverged;
-    return stats;
-  }
-  const double target = std::max(config.rtol * stats.initial_residual, config.atol);
-  Watchdog watchdog(config.watchdog, comm);
-
-  M.apply(r, z, comm);
-  p = z;
-  double rz = r.dot(z, comm);
-
-  while (stats.iterations < config.max_iterations) {
-    obs::Span iter_span = obs::global_span("cg.iteration");
-    const double rounds_before =
-        iter_span.active() ? comm.work().current().coll_rounds : 0.0;
-    A.apply(p, Ap, comm);
-    ++stats.iterations;
-    const double pAp = p.dot(Ap, comm);
-    if (pAp <= 0.0) {
-      // Indefinite (or numerically indefinite) operator: CG's contract is
-      // broken, but that is an input-class failure, not invariant corruption —
-      // report it as a typed breakdown so the caller can switch solvers.
-      std::ostringstream oss;
-      oss << "cg: matrix is not positive definite (pAp = " << pAp << ")";
-      stats.stop_reason = StopReason::kBreakdown;
-      stats.stop_message = oss.str();
-      return stats;
-    }
-    const double alpha = rz / pAp;
-    x.axpy(alpha, p, comm);
-    r.axpy(-alpha, Ap, comm);
-
-    // z = M⁻¹ r is needed for the next search direction anyway; computing it
-    // before the convergence test lets ‖r‖² and rᵀz share one allreduce. The
-    // span reduction sums each component in rank order, exactly as separate
-    // scalar allreduces would; the only waste is one preconditioner apply on
-    // the final iteration.
-    M.apply(r, z, comm);
-    std::array<double, 2> d{r.dot_local(r, comm), r.dot_local(z, comm)};
-    comm.allreduce_sum(std::span<double>(d.data(), d.size()));
-    const double rnorm = std::sqrt(d[0]);
-    const double rz_new = d[1];
-    stats.final_residual = rnorm;
-    if (config.record_history) stats.history.push_back(rnorm);
-    if (iter_span.active()) {
-      iter_span.attr("iteration", stats.iterations);
-      iter_span.attr("residual", rnorm);
-      iter_span.attr("allreduces",
-                     static_cast<std::int64_t>(
-                         comm.work().current().coll_rounds - rounds_before));
-      obs::counter("cg.residual", rnorm);
-    }
-    if (rnorm <= target) {
-      stats.converged = true;
-      stats.stop_reason = StopReason::kConverged;
-      return stats;
-    }
-    const StopReason stop = watchdog.poll(rnorm, stats.initial_residual);
-    if (stop != StopReason::kConverged) {
-      note_watchdog_fire("cg", stop, rnorm, watchdog.message());
-      stats.stop_reason = stop;
-      stats.stop_message = watchdog.message();
-      return stats;
-    }
-
-    const double betak = rz_new / rz;
-    rz = rz_new;
-    // p = z + beta p
-    p.scale(betak, comm);
-    p.axpy(1.0, z, comm);
-  }
-  std::ostringstream oss;
-  oss << "cg: " << config.max_iterations
-      << " iterations exhausted at relative residual " << stats.relative_residual();
-  stats.stop_message = oss.str();
-  return stats;
-}
-
-SolveStats bicgstab(const DistCsrMatrix& A, const DistVector& b, DistVector& x,
-                    const Preconditioner& M, const SolverConfig& config,
-                    par::Communicator& comm) {
-  SolveStats stats;
-  DistVector r = like(b), r0 = like(b), p = like(b), v = like(b), s = like(b),
-             t = like(b), ph = like(b), sh = like(b);
-
-  A.apply(x, r, comm);
-  r.scale(-1.0, comm);
-  r.axpy(1.0, b, comm);
-  // Same collective and the same arithmetic as r.norm2(comm); keeping rr0
-  // around seeds the first rho without another reduction (r0 == r at entry,
-  // so r0ᵀr == rᵀr).
-  const double rr0 = r.dot(r, comm);
-  stats.initial_residual = std::sqrt(rr0);
-  stats.final_residual = stats.initial_residual;
-  if (config.record_history) stats.history.push_back(stats.initial_residual);
-  if (stats.initial_residual <= config.atol) {
-    stats.converged = true;
-    stats.stop_reason = StopReason::kConverged;
-    return stats;
-  }
-  const double target = std::max(config.rtol * stats.initial_residual, config.atol);
-  Watchdog watchdog(config.watchdog, comm);
-
-  r0 = r;
-  double rho = 1.0, alpha = 1.0, omega = 1.0;
-  double rho_pending = rr0;  ///< r0ᵀr carried from the previous closing allreduce
-
-  const auto breakdown = [&stats](const char* what) {
-    stats.stop_reason = StopReason::kBreakdown;
-    stats.stop_message = std::string("bicgstab: breakdown (") + what + ")";
-  };
-
-  while (stats.iterations < config.max_iterations) {
-    obs::Span iter_span = obs::global_span("bicgstab.iteration");
-    const double rounds_before =
-        iter_span.active() ? comm.work().current().coll_rounds : 0.0;
-    // r0ᵀr was batched into the allreduce that ended the previous iteration
-    // (or equals rr0 on entry), so the loop head is collective-free.
-    const double rho_new = rho_pending;
-    if (std::abs(rho_new) < 1e-300) {
-      breakdown("rho -> 0");
-      break;
-    }
-    if (stats.iterations == 0) {
-      p = r;
-    } else {
-      const double beta = (rho_new / rho) * (alpha / omega);
-      // p = r + beta (p - omega v)
-      p.axpy(-omega, v, comm);
-      p.scale(beta, comm);
-      p.axpy(1.0, r, comm);
-    }
-    rho = rho_new;
-
-    M.apply(p, ph, comm);
-    A.apply(ph, v, comm);
-    ++stats.iterations;
-    const double r0v = r0.dot(v, comm);
-    if (std::abs(r0v) < 1e-300) {
-      breakdown("r0.v -> 0");
-      break;
-    }
-    alpha = rho / r0v;
-
-    s = r;
-    s.axpy(-alpha, v, comm);
-    const double snorm = s.norm2(comm);
-    if (snorm <= target) {
-      x.axpy(alpha, ph, comm);
-      stats.final_residual = snorm;
-      if (config.record_history) stats.history.push_back(snorm);
-      if (iter_span.active()) {
-        iter_span.attr("iteration", stats.iterations);
-        iter_span.attr("residual", snorm);
-        iter_span.attr("allreduces",
-                       static_cast<std::int64_t>(
-                           comm.work().current().coll_rounds - rounds_before));
-        obs::counter("bicgstab.residual", snorm);
-      }
-      stats.converged = true;
-      stats.stop_reason = StopReason::kConverged;
-      return stats;
-    }
-
-    M.apply(s, sh, comm);
-    A.apply(sh, t, comm);
-    // tᵀt and tᵀs share one allreduce (both needed for omega).
-    std::array<double, 2> tts{t.dot_local(t, comm), t.dot_local(s, comm)};
-    comm.allreduce_sum(std::span<double>(tts.data(), tts.size()));
-    if (tts[0] < 1e-300) {
-      breakdown("t.t -> 0");
-      break;
-    }
-    omega = tts[1] / tts[0];
-
-    x.axpy(alpha, ph, comm);
-    x.axpy(omega, sh, comm);
-    r = s;
-    r.axpy(-omega, t, comm);
-
-    // ‖r‖² and the next iteration's r0ᵀr share the closing allreduce, so an
-    // iteration runs 4 collectives; the values are those of separate scalar
-    // allreduces (rank-ordered span reduction).
-    std::array<double, 2> rr{r.dot_local(r, comm), r0.dot_local(r, comm)};
-    comm.allreduce_sum(std::span<double>(rr.data(), rr.size()));
-    const double rnorm = std::sqrt(rr[0]);
-    rho_pending = rr[1];
-    stats.final_residual = rnorm;
-    if (config.record_history) stats.history.push_back(rnorm);
-    if (iter_span.active()) {
-      iter_span.attr("iteration", stats.iterations);
-      iter_span.attr("residual", rnorm);
-      iter_span.attr("allreduces",
-                     static_cast<std::int64_t>(
-                         comm.work().current().coll_rounds - rounds_before));
-      obs::counter("bicgstab.residual", rnorm);
-    }
-    if (rnorm <= target) {
-      stats.converged = true;
-      stats.stop_reason = StopReason::kConverged;
-      return stats;
-    }
-    const StopReason stop = watchdog.poll(rnorm, stats.initial_residual);
-    if (stop != StopReason::kConverged) {
-      note_watchdog_fire("bicgstab", stop, rnorm, watchdog.message());
-      stats.stop_reason = stop;
-      stats.stop_message = watchdog.message();
-      return stats;
-    }
-    if (std::abs(omega) < 1e-300) {
-      breakdown("omega -> 0");
-      break;
-    }
-  }
-  if (stats.stop_reason == StopReason::kMaxIterations &&
-      stats.stop_message.empty()) {
-    std::ostringstream oss;
-    oss << "bicgstab: " << config.max_iterations
         << " iterations exhausted at relative residual "
         << stats.relative_residual();
     stats.stop_message = oss.str();

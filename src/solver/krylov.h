@@ -1,8 +1,8 @@
-// Distributed Krylov solvers: restarted GMRES (the paper's solver), plus CG
-// and BiCGStab for the solver ablation. All follow the PETSc structure the
-// paper used: preconditioned iterations whose per-step cost is one SpMV (ghost
-// exchange), one block-local preconditioner application, and a handful of
-// global reductions — exactly the communication profile the paper's
+// The distributed Krylov solver: restarted GMRES with block-Jacobi ILU(0)
+// preconditioning, the paper's configuration. It follows the PETSc structure
+// the paper used: preconditioned iterations whose per-step cost is one SpMV
+// (ghost exchange), one block-local preconditioner application, and a handful
+// of global reductions — exactly the communication profile the paper's
 // solve-phase scaling reflects.
 #pragma once
 
@@ -27,7 +27,6 @@ enum class StopReason : std::uint8_t {
   kDiverged,          ///< residual grew past divergence_factor × initial
   kNumericalInvalid,  ///< NaN/Inf residual in the iteration
   kDeadlineExceeded,  ///< the watchdog wall-clock deadline passed
-  kBreakdown,         ///< algorithmic breakdown (indefinite matrix, ρ/ω → 0)
 };
 
 /// Short stable name, e.g. "stagnated".
@@ -75,21 +74,8 @@ struct SolveStats {
 /// Right-preconditioned restarted GMRES(m) with modified Gram–Schmidt: j+2
 /// allreduces at Arnoldi step j (j+1 projections, then the norm).
 SolveStats gmres(const DistCsrMatrix& A, const DistVector& b, DistVector& x,
-                 const Preconditioner& M, const SolverConfig& config,
+                 const BlockJacobiIlu0& M, const SolverConfig& config,
                  par::Communicator& comm);
-
-/// Preconditioned conjugate gradients (A and M must be SPD; the elasticity
-/// system with substituted Dirichlet rows is). Two allreduces per iteration:
-/// pᵀAp, then ‖r‖² and rᵀz in one two-component round.
-SolveStats cg(const DistCsrMatrix& A, const DistVector& b, DistVector& x,
-              const Preconditioner& M, const SolverConfig& config,
-              par::Communicator& comm);
-
-/// Right-preconditioned BiCGStab. Four allreduces per iteration: r₀ᵀv, ‖s‖²,
-/// [tᵀt, tᵀs], and the closing [‖r‖², r₀ᵀr] that seeds the next iteration's ρ.
-SolveStats bicgstab(const DistCsrMatrix& A, const DistVector& b, DistVector& x,
-                    const Preconditioner& M, const SolverConfig& config,
-                    par::Communicator& comm);
 
 /// ‖b - A x‖₂ (collective) — independent verification of a solve.
 double true_residual_norm(const DistCsrMatrix& A, const DistVector& b,

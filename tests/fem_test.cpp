@@ -365,31 +365,6 @@ TEST(SolveTest, AllPartitionKindsAgree) {
   }
 }
 
-TEST(SolveTest, KrylovVariantsAgree) {
-  const mesh::TetMesh mesh = block_mesh();
-  const auto surface = mesh::extract_boundary_surface(mesh, {1});
-  std::vector<std::pair<mesh::NodeId, Vec3>> bcs;
-  for (const auto n : surface.mesh_nodes) {
-    bcs.emplace_back(n, Vec3{0.01 * mesh.nodes[n].y, 0.0, 0.0});
-  }
-  DeformationSolveOptions opt;
-  opt.solver.rtol = 1e-11;
-
-  std::vector<std::vector<Vec3>> solutions;
-  for (const auto k : {KrylovKind::kGmres, KrylovKind::kCg, KrylovKind::kBicgstab}) {
-    opt.krylov = k;
-    const auto result =
-        solve_deformation(mesh, MaterialMap::homogeneous_brain(), bcs, opt);
-    EXPECT_TRUE(result.stats.converged);
-    solutions.push_back(result.node_displacements);
-  }
-  for (std::size_t s = 1; s < solutions.size(); ++s) {
-    for (std::size_t n = 0; n < solutions[0].size(); ++n) {
-      EXPECT_NEAR(norm(solutions[s][n] - solutions[0][n]), 0.0, 1e-5);
-    }
-  }
-}
-
 TEST(SolveTest, HeterogeneousMaterialsChangeInterior) {
   // Same BCs, different material map ⇒ different interior solution.
   ImageL labels({7, 7, 7}, 3, {2, 2, 2});

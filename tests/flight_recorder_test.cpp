@@ -134,11 +134,11 @@ TEST(Bundle, ResidualHistoryIsExtractedInIterationOrder) {
   {
     ScopedThreadRank scoped(0);
     for (int i = 0; i < 3; ++i) {
-      Span it = tracer.span("cg.iteration");
+      Span it = tracer.span("gmres.iteration");
       it.attr("iteration", i);
       it.attr("residual", 0.5 / (1 << i));  // dyadic: prints exactly
     }
-    tracer.span("cg.setup").close();  // no iteration/residual attrs: ignored
+    tracer.span("gmres.setup").close();  // no iteration/residual attrs: ignored
   }
   FlightRecorder recorder_local(tracer);
   recorder_local.adopt_sink({});
@@ -146,17 +146,17 @@ TEST(Bundle, ResidualHistoryIsExtractedInIterationOrder) {
   recorder_local.write_bundle(os, DumpTrigger::kWatchdog, {});
   const std::string bundle = os.str();
   const std::size_t first = bundle.find(
-      R"({"solver":"cg","rank":0,"iteration":0,"residual":0.5})");
+      R"({"solver":"gmres","rank":0,"iteration":0,"residual":0.5})");
   const std::size_t second = bundle.find(
-      R"({"solver":"cg","rank":0,"iteration":1,"residual":0.25})");
+      R"({"solver":"gmres","rank":0,"iteration":1,"residual":0.25})");
   const std::size_t third =
-      bundle.find(R"({"solver":"cg","rank":0,"iteration":2,)");
+      bundle.find(R"({"solver":"gmres","rank":0,"iteration":2,)");
   ASSERT_NE(first, std::string::npos);
   ASSERT_NE(second, std::string::npos);
   ASSERT_NE(third, std::string::npos);
   EXPECT_LT(first, second);
   EXPECT_LT(second, third);
-  EXPECT_EQ(bundle.find("cg.setup\",\"residual"), std::string::npos);
+  EXPECT_EQ(bundle.find("gmres.setup\",\"residual"), std::string::npos);
 }
 
 TEST(DumpQuiescence, DumpWhileSixteenRanksRecord) {

@@ -9,6 +9,7 @@
 
 #include "core/evaluation.h"
 #include "core/pipeline.h"
+#include "obs/trace.h"
 #include "phantom/brain_phantom.h"
 
 namespace neuro::core {
@@ -163,6 +164,48 @@ TEST(PipelineVariantsTest, RigidStageRecoversImposedOffset) {
   // With the rigid offset recovered and the shift simulated, the residual
   // must be far below the raw offset magnitude (~6 mm).
   EXPECT_LT(report.recovered_error.mean_mm, 2.5);
+}
+
+TEST(PipelineVariantsTest, TracedRigidRunSpansPrototypesAndComponents) {
+#ifdef NEURO_OBS_DISABLED
+  GTEST_SKIP() << "spans are compiled out (NEURO_OBS=OFF)";
+#endif
+  // The first scan's prototype selection and the largest-component cleanup
+  // of each surface SDF run on the calling thread; each has its own span
+  // inside the stage that pays for it.
+  phantom::PhantomConfig pcfg;
+  pcfg.dims = {32, 32, 32};
+  pcfg.spacing = {3.5, 3.5, 3.5};
+  const auto cas = phantom::make_case(pcfg, phantom::ShiftConfig{});
+  PipelineConfig config = default_pipeline_config();
+  config.do_rigid_registration = true;
+  config.rigid.pyramid_levels = 2;
+  obs::global().clear();
+  obs::global().set_enabled(true);
+  static_cast<void>(
+      run_intraop_pipeline(cas.preop, cas.preop_labels, cas.intraop, config));
+  obs::global().set_enabled(false);
+  const std::vector<obs::TraceEvent> events = obs::global().snapshot();
+  obs::global().clear();
+
+  const auto count_under = [&](const std::string& name, const std::string& root) {
+    int n = 0;
+    for (const auto& e : events) {
+      if (e.name != name) continue;
+      for (const auto& r : events) {
+        if (r.name == root && r.rank == e.rank && r.ts_us <= e.ts_us &&
+            e.ts_us + e.dur_us <= r.ts_us + r.dur_us + 1e-3) {
+          ++n;
+          break;
+        }
+      }
+    }
+    return n;
+  };
+  EXPECT_EQ(count_under("pipeline.seg.prototypes", "pipeline.preop_model"), 1);
+  // One SDF of the classified preop scan, one of the intraop scan.
+  EXPECT_EQ(count_under("image.largest_component", "pipeline.preop_model"), 1);
+  EXPECT_EQ(count_under("image.largest_component", "pipeline.surface_displacement"), 1);
 }
 
 TEST(PipelineVariantsTest, BoundaryBandIsNonEmptyAtCoarseVoxels) {

@@ -67,7 +67,7 @@ PIPELINE_STAGES = [
     "pipeline.biomechanical_simulation",
     "pipeline.visualization_resample",
 ]
-KRYLOV_SPANS = ("gmres.iteration", "cg.iteration", "bicgstab.iteration")
+KRYLOV_SPAN = "gmres.iteration"
 BUNDLE_SCHEMA = "neuro.postmortem.v1"
 # The flight recorder's retention contract: every rank's ring holds at least
 # this many events.
@@ -202,9 +202,9 @@ def check_pipeline_expectations(events, errors):
             if "rung" not in e.get("args", {}):
                 fail(errors, "a 'fem.rung' span is missing its 'rung' attribute")
 
-    iters = [e for n in KRYLOV_SPANS for e in names.get(n, [])]
+    iters = names.get(KRYLOV_SPAN, [])
     if not iters:
-        fail(errors, f"expected at least one Krylov iteration span {KRYLOV_SPANS}")
+        fail(errors, f"expected at least one '{KRYLOV_SPAN}' span")
     for e in iters:
         args = e.get("args", {})
         if "residual" not in args:
