@@ -81,21 +81,19 @@ TetMesh mesh_labeled_volume(const ImageL& labels, const MesherConfig& config) {
                              static_cast<int>(centroid.y + 0.5),
                              static_cast<int>(centroid.z + 0.5));
 
+          // Majority over 4 corners + centroid, centroid breaking ties.
           std::uint8_t tet_label = centroid_label;
-          if (config.rule == MesherConfig::LabelRule::kMajority) {
-            // Majority over 4 corners + centroid, centroid breaking ties.
-            std::map<std::uint8_t, int> votes;
-            votes[centroid_label] += 1;
-            for (const int c : tet) {
-              const IVec3 v = corner_voxel[static_cast<std::size_t>(c)];
-              ++votes[label_at_voxel(v.x, v.y, v.z)];
-            }
-            int best = votes[centroid_label];
-            for (const auto& [l, n] : votes) {
-              if (n > best) {
-                best = n;
-                tet_label = l;
-              }
+          std::map<std::uint8_t, int> votes;
+          votes[centroid_label] += 1;
+          for (const int c : tet) {
+            const IVec3 v = corner_voxel[static_cast<std::size_t>(c)];
+            ++votes[label_at_voxel(v.x, v.y, v.z)];
+          }
+          int best = votes[centroid_label];
+          for (const auto& [l, n] : votes) {
+            if (n > best) {
+              best = n;
+              tet_label = l;
             }
           }
           if (!keep(tet_label)) continue;

@@ -26,14 +26,11 @@ struct MesherConfig {
 
   /// Labels to mesh; empty means "every non-zero label".
   std::vector<std::uint8_t> keep_labels;
-
-  /// How a tet gets its label: from the voxel nearest its centroid, or by
-  /// majority over its 4 corners + centroid (more robust on thin structures).
-  enum class LabelRule { kCentroid, kMajority };
-  LabelRule rule = LabelRule::kMajority;
 };
 
-/// Meshes the labeled volume. Node coordinates are physical. Tets are
+/// Meshes the labeled volume. Each tet takes the majority label of the voxels
+/// at its 4 corners and nearest its centroid, the centroid breaking ties
+/// (robust on thin structures). Node coordinates are physical. Tets are
 /// positively oriented; nodes are numbered in lattice (x-fastest) order,
 /// which gives the contiguous-slab partitions spatial coherence.
 [[nodiscard]] TetMesh mesh_labeled_volume(const ImageL& labels, const MesherConfig& config);

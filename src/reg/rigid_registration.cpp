@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <optional>
 
 #include "base/check.h"
 #include "base/numerics_annotations.h"
@@ -179,7 +178,6 @@ RigidRegistrationResult register_rigid_mi(const RegistrationPyramid& pyramid,
   NEURO_REQUIRE(levels >= 1 && pyramid.moving.size() == pyramid.fixed.size() &&
                     pyramid.mi.size() == pyramid.fixed.size(),
                 "register_rigid_mi: malformed pyramid");
-  const bool use_mi = config.metric == MetricKind::kMutualInformation;
 
   RigidRegistrationResult result;
   std::array<double, 6> params = initial.params();
@@ -191,16 +189,12 @@ RigidRegistrationResult register_rigid_mi(const RegistrationPyramid& pyramid,
     const auto level = static_cast<std::size_t>(l);
     const ImageF& f_img = pyramid.fixed[level];
     const ImageF& m_img = pyramid.moving[level];
-    std::optional<MiSampler> sampler;
-    if (use_mi) sampler.emplace(f_img, m_img, pyramid.mi[level], config.mi, comm);
+    const MiSampler sampler(f_img, m_img, pyramid.mi[level], config.mi, comm);
     const int level_evals_before = evals;
 
     auto metric = [&](const std::array<double, 6>& p) {
       ++evals;
-      const RigidTransform t = RigidTransform::from_params(p, pyramid.center);
-      // The optimizer maximizes; SSD enters negated.
-      return use_mi ? sampler->evaluate(t)
-                    : -mean_squared_difference(f_img, m_img, t, config.mi);
+      return sampler.evaluate(RigidTransform::from_params(p, pyramid.center));
     };
 
     // Step sizes shrink on finer levels where the coarse solve got us close.
@@ -238,10 +232,8 @@ RigidRegistrationResult register_rigid_mi(const RegistrationPyramid& pyramid,
     }
     if (level_span.active()) {
       level_span.attr("evals", evals - level_evals_before);
-      if (use_mi) {
-        level_span.attr("samples", static_cast<std::int64_t>(sampler->samples()));
-        level_span.attr("single_bin_cells", pyramid.mi[level].single_bin_cells);
-      }
+      level_span.attr("samples", static_cast<std::int64_t>(sampler.samples()));
+      level_span.attr("single_bin_cells", pyramid.mi[level].single_bin_cells);
     }
     result.level_mi.push_back(best);
     result.mutual_information = best;

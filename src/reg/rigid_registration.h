@@ -15,13 +15,8 @@
 
 namespace neuro::reg {
 
-/// Similarity metric driving the optimizer. The paper uses MI; SSD is the
-/// mono-modality baseline, provided for comparison experiments.
-enum class MetricKind { kMutualInformation, kMeanSquaredDifference };
-
 struct RigidRegistrationConfig {
   MiConfig mi;
-  MetricKind metric = MetricKind::kMutualInformation;
   /// Gaussian pre-smoothing (voxels) applied to both images before the
   /// metric. Suppresses interpolation-induced MI inflation: on noisy images,
   /// off-grid (rotated) sampling smooths the noise and spuriously raises MI,
@@ -84,8 +79,7 @@ void build_registration_pyramid(const ImageF& fixed, const ImageF& moving,
 /// `initial`. The rotation center is fixed to the center of the fixed volume.
 /// With a communicator the call is collective: each MI evaluation samples a
 /// slab per rank and sums integer histogram counts (MiSampler), so every rank
-/// returns the serial result bit for bit, at any rank count. The SSD metric
-/// ignores the communicator (every rank evaluates it whole).
+/// returns the serial result bit for bit, at any rank count.
 RigidRegistrationResult register_rigid_mi(const RegistrationPyramid& pyramid,
                                           const RigidRegistrationConfig& config,
                                           const RigidTransform& initial = {},

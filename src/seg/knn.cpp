@@ -251,8 +251,6 @@ struct KnnClassifier::Scratch {
   std::vector<std::uint32_t> candidates;  ///< rows of that set, ascending
   std::vector<Hit> hits;
   std::array<int, 256> votes{};
-  std::array<double, 256> weights{};
-  std::array<std::uint8_t, 256> voted{};  ///< distinct labels among the hits
   std::int64_t distance_evals = 0;
   std::int64_t blocks = 0;
   std::int64_t uniform_voxels = 0;
@@ -327,11 +325,8 @@ void assign_groups(const std::vector<const float*>& data, std::size_t v0, std::s
 
 }  // namespace
 
-KnnClassifier::KnnClassifier(const std::vector<Prototype>& prototypes, int k,
-                             Voting voting)
-    : channels_(prototypes.empty() ? 0 : prototypes.front().features.size()),
-      k_(k),
-      voting_(voting) {
+KnnClassifier::KnnClassifier(const std::vector<Prototype>& prototypes, int k)
+    : channels_(prototypes.empty() ? 0 : prototypes.front().features.size()), k_(k) {
   NEURO_REQUIRE(k_ > 0, "KnnClassifier: k must be positive");
   NEURO_REQUIRE(!prototypes.empty(), "KnnClassifier: need at least one prototype");
   NEURO_REQUIRE(channels_ > 0, "KnnClassifier: prototypes have no features");
@@ -469,30 +464,6 @@ std::uint8_t KnnClassifier::classify_voxel(const Rows& rows, double f0,
   scratch.distance_evals += static_cast<std::int64_t>(rows.size);
 
   std::uint8_t winner = best[0].label;
-  if (voting_ == Voting::kDistanceWeighted) {
-    // Inverse-square-distance weights (ε regularizes exact hits), summed per
-    // label in distance order; labels compete in ascending order.
-    constexpr double kEps = 1e-9;
-    int distinct = 0;
-    for (int q = 0; q < held; ++q) {
-      const std::uint8_t l = best[q].label;
-      if (scratch.votes[l]++ == 0) scratch.voted[static_cast<std::size_t>(distinct++)] = l;
-      scratch.weights[l] += 1.0 / (best[q].d2 + kEps);
-    }
-    std::sort(scratch.voted.begin(), scratch.voted.begin() + distinct);
-    double max_w = -1.0;
-    for (int q = 0; q < distinct; ++q) {
-      const std::uint8_t l = scratch.voted[static_cast<std::size_t>(q)];
-      if (scratch.weights[l] > max_w) {
-        max_w = scratch.weights[l];
-        winner = l;
-      }
-      scratch.weights[l] = 0.0;
-      scratch.votes[l] = 0;
-    }
-    return winner;
-  }
-
   // Majority vote; ties go to the label whose nearest hit is closest.
   int max_votes = 0;
   for (int q = 0; q < held; ++q) {

@@ -101,15 +101,7 @@ void refresh_prototypes(std::vector<Prototype>& prototypes, const FeatureStack& 
 /// finite.
 class KnnClassifier {
  public:
-  /// How the k nearest prototypes combine into a decision.
-  enum class Voting {
-    kMajority,          ///< one prototype, one vote (the classical rule)
-    kDistanceWeighted,  ///< votes weighted by 1/(d² + ε) — smoother decision
-                        ///< boundaries under class-imbalanced prototype sets
-  };
-
-  KnnClassifier(const std::vector<Prototype>& prototypes, int k,
-                Voting voting = Voting::kMajority);
+  KnnClassifier(const std::vector<Prototype>& prototypes, int k);
 
   /// Label of a single feature vector (among the k nearest prototypes;
   /// majority ties break toward the nearest member of the tied labels).
@@ -160,7 +152,6 @@ class KnnClassifier {
   std::vector<double> columns_;       ///< prototype features, channel-major
   std::vector<std::uint8_t> labels_;  ///< one per prototype, prototype order
   int k_;
-  Voting voting_;
 };
 
 /// Fraction of voxels where `a == b` (optionally restricted to mask != 0).

@@ -13,7 +13,7 @@
 //  * signed-distance potential from the intraoperative brain segmentation
 //    (which our pipeline has anyway) — a wider capture range for the same
 //    stationary points. The pipeline uses the distance field; both are
-//    exercised by tests and the ablation bench.
+//    exercised by tests.
 //
 // The output is a per-vertex displacement field; because extracted surfaces
 // remember their tet-mesh node ids, these displacements feed the FEM stage

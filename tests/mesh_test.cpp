@@ -261,7 +261,6 @@ TEST(SurfaceTest, LabelSubsetSelectsInterface) {
       for (int i = 4; i < 9; ++i) labels(i, j, k) = 2;
   MesherConfig cfg;
   cfg.stride = 2;
-  cfg.rule = MesherConfig::LabelRule::kCentroid;
   const TetMesh mesh = mesh_labeled_volume(labels, cfg);
   const TriSurface s2 = extract_boundary_surface(mesh, {2});
   const TriSurface all = extract_boundary_surface(mesh, {1, 2});

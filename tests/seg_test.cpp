@@ -174,37 +174,11 @@ TEST(KnnTest, ParallelMatchesSerial) {
   }
 }
 
-TEST(KnnTest, DistanceWeightedOutvotesFarMajority) {
-  // k=3: one very close class-1 prototype vs two distant class-2 prototypes.
-  // Majority picks 2; distance weighting picks 1.
-  std::vector<Prototype> protos(3);
-  protos[0] = {{0, 0, 0}, 1, {0.0}};
-  protos[1] = {{1, 0, 0}, 2, {10.0}};
-  protos[2] = {{2, 0, 0}, 2, {12.0}};
-  KnnClassifier majority(protos, 3, KnnClassifier::Voting::kMajority);
-  KnnClassifier weighted(protos, 3, KnnClassifier::Voting::kDistanceWeighted);
-  EXPECT_EQ(majority.classify({0.5}), 2);
-  EXPECT_EQ(weighted.classify({0.5}), 1);
-}
-
-TEST(KnnTest, VotingModesAgreeWhenClear) {
-  ImageL truth;
-  FeatureStack stack = two_class_stack(truth);
-  Rng rng(6);
-  const auto protos = select_prototypes(truth, stack, 15, rng);
-  KnnClassifier majority(protos, 5, KnnClassifier::Voting::kMajority);
-  KnnClassifier weighted(protos, 5, KnnClassifier::Voting::kDistanceWeighted);
-  const ImageL a = majority.classify_volume(stack);
-  const ImageL b = weighted.classify_volume(stack);
-  EXPECT_DOUBLE_EQ(label_agreement(a, b), 1.0);
-}
-
 // The brute-force rule the classifier must reproduce bit for bit: full
 // distances, a sorted k-best vector with lower_bound insertion, std::map
 // tallies iterated in ascending label order.
 std::uint8_t brute_force_label(const std::vector<Prototype>& protos,
-                               const std::vector<double>& f, int k_req,
-                               KnnClassifier::Voting voting) {
+                               const std::vector<double>& f, int k_req) {
   struct Hit {
     double d2;
     std::uint8_t label;
@@ -225,19 +199,6 @@ std::uint8_t brute_force_label(const std::vector<Prototype>& protos,
       if (static_cast<int>(best.size()) > k) best.pop_back();
     }
   }
-  if (voting == KnnClassifier::Voting::kDistanceWeighted) {
-    std::map<std::uint8_t, double> weights;
-    for (const auto& h : best) weights[h.label] += 1.0 / (h.d2 + 1e-9);
-    std::uint8_t winner = best.front().label;
-    double max_w = -1.0;
-    for (const auto& [label, w] : weights) {
-      if (w > max_w) {
-        max_w = w;
-        winner = label;
-      }
-    }
-    return winner;
-  }
   std::map<std::uint8_t, int> votes;
   for (const auto& h : best) ++votes[h.label];
   int max_votes = 0;
@@ -252,7 +213,6 @@ std::uint8_t brute_force_label(const std::vector<Prototype>& protos,
 // expects the three to agree voxel for voxel.
 void expect_matches_brute_force(const FeatureStack& stack,
                                 const std::vector<Prototype>& protos, int k,
-                                KnnClassifier::Voting voting,
                                 std::initializer_list<int> ranks) {
   ImageL reference(stack.dims());
   std::vector<double> f;
@@ -261,11 +221,11 @@ void expect_matches_brute_force(const FeatureStack& stack,
     for (int y = 0; y < d.y; ++y) {
       for (int x = 0; x < d.x; ++x) {
         stack.feature_at(x, y, z, f);
-        reference(x, y, z) = brute_force_label(protos, f, k, voting);
+        reference(x, y, z) = brute_force_label(protos, f, k);
       }
     }
   }
-  const KnnClassifier knn(protos, k, voting);
+  const KnnClassifier knn(protos, k);
   EXPECT_EQ(knn.classify_volume(stack).data(), reference.data());
   for (const int P : ranks) {
     std::vector<ImageL> per_rank(static_cast<std::size_t>(P));
@@ -312,12 +272,8 @@ TEST(KnnTest, RankInvariantAndMatchesBruteForce) {
       protos.push_back(std::move(copy));
     }
     for (const int k : {1, 2, 4, 5, 12, 40, 64}) {
-      for (const auto voting : {KnnClassifier::Voting::kMajority,
-                                KnnClassifier::Voting::kDistanceWeighted}) {
-        SCOPED_TRACE(testing::Message() << "prototypes " << protos.size() << " k " << k
-                                        << " voting " << static_cast<int>(voting));
-        expect_matches_brute_force(stack, protos, k, voting, {1, 2, 3, 5});
-      }
+      SCOPED_TRACE(testing::Message() << "prototypes " << protos.size() << " k " << k);
+      expect_matches_brute_force(stack, protos, k, {1, 2, 3, 5});
     }
   }
 }
@@ -355,12 +311,8 @@ TEST(KnnTest, IndexMatchesBruteForceOnPhantomStack) {
   ASSERT_EQ(cas.stack.channels(), 6u);
   ASSERT_GT(cas.prototypes.size(), 200u);
   for (const int k : {1, 5, 32}) {
-    for (const auto voting : {KnnClassifier::Voting::kMajority,
-                              KnnClassifier::Voting::kDistanceWeighted}) {
-      SCOPED_TRACE(testing::Message() << "k " << k << " voting "
-                                      << static_cast<int>(voting));
-      expect_matches_brute_force(cas.stack, cas.prototypes, k, voting, {2, 4});
-    }
+    SCOPED_TRACE(testing::Message() << "k " << k);
+    expect_matches_brute_force(cas.stack, cas.prototypes, k, {2, 4});
   }
 }
 
@@ -394,11 +346,8 @@ TEST(KnnTest, BlockSearchMatchesBruteForceOnContinuousChannels) {
     protos.push_back(std::move(proto));
   }
   for (const int k : {1, 5, 32}) {
-    for (const auto voting : {KnnClassifier::Voting::kMajority,
-                              KnnClassifier::Voting::kDistanceWeighted}) {
-      SCOPED_TRACE(testing::Message() << "k " << k << " voting " << static_cast<int>(voting));
-      expect_matches_brute_force(stack, protos, k, voting, {1, 2, 3, 4});
-    }
+    SCOPED_TRACE(testing::Message() << "k " << k);
+    expect_matches_brute_force(stack, protos, k, {1, 2, 3, 4});
   }
 }
 
@@ -431,11 +380,8 @@ TEST(KnnTest, BlockSearchMatchesBruteForceOnTiedIntensities) {
     protos.push_back(std::move(copy));
   }
   for (const int k : {1, 5, 32}) {
-    for (const auto voting : {KnnClassifier::Voting::kMajority,
-                              KnnClassifier::Voting::kDistanceWeighted}) {
-      SCOPED_TRACE(testing::Message() << "k " << k << " voting " << static_cast<int>(voting));
-      expect_matches_brute_force(stack, protos, k, voting, {1, 2, 3, 4});
-    }
+    SCOPED_TRACE(testing::Message() << "k " << k);
+    expect_matches_brute_force(stack, protos, k, {1, 2, 3, 4});
   }
 }
 
@@ -445,11 +391,8 @@ TEST(KnnTest, BlockSearchMatchesBruteForceOnTenantPhantom) {
   const PhantomKnnCase cas = make_phantom_knn_case({48, 48, 48}, {2.8, 2.8, 2.8});
   ASSERT_EQ(cas.stack.channels(), 6u);
   for (const int k : {1, 5, 32}) {
-    for (const auto voting : {KnnClassifier::Voting::kMajority,
-                              KnnClassifier::Voting::kDistanceWeighted}) {
-      SCOPED_TRACE(testing::Message() << "k " << k << " voting " << static_cast<int>(voting));
-      expect_matches_brute_force(cas.stack, cas.prototypes, k, voting, {1, 2, 3, 4});
-    }
+    SCOPED_TRACE(testing::Message() << "k " << k);
+    expect_matches_brute_force(cas.stack, cas.prototypes, k, {1, 2, 3, 4});
   }
 }
 

@@ -28,19 +28,24 @@ Functions marked with the grep-able `NEURO_BITEXACT` macro
 bodies *any* unordered-container iteration and *any* nondeterminism source is
 a finding, allowlist or not.
 
-Two engines share the reporting and suppression layer, in the mold of
-check_spmd.py:
+The analyzer is a built-in tokenizer needing no toolchain, so it reports the
+same findings on every host. Without preprocessing or type information it
+harvests declarations by name and over-approximates where cheap:
 
-  clang  libclang over compile_commands.json (use --compdb). Preferred when
-         the `clang.cindex` Python bindings are importable. Adds AST-accurate
-         range-type detection (cross-file unordered members) and type-accurate
-         unused-result detection on top of the shared textual line rules.
-  text   a built-in tokenizer needing no toolchain. Runs everywhere,
-         including gcc-only containers.
+  * unordered-container names come from the file itself plus every header
+    of the scanned tree (tests/numerics_lint/ under --self-test), so a loop
+    over a member declared in another file is still caught. A .cpp's own
+    locals stay private to it — they are visible to no other translation
+    unit, and sharing them would only turn name collisions into findings.
+  * Status/Outcome-returning function names come from every file of the
+    tree (from the file itself under --self-test). A discarded call the
+    name list misses is still an error at build time: base::Status and
+    base::Outcome<T> are class-level [[nodiscard]], every CI build sets
+    -Werror, and the compile_fail.ts_discarded_status /
+    compile_fail.ts_discarded_outcome tests prove the diagnostic fires.
 
-`--engine auto` (default) picks clang when importable, else text.
-`--engine clang` exits with status 77 when libclang is unavailable so CTest
-can mark the entry SKIPPED instead of failed.
+Precision is validated by the --self-test fixtures and by the zero-findings
+requirement on the real tree.
 
 Suppressions are grep-able markers on the finding's line or the line above:
 
@@ -60,7 +65,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import pathlib
 import re
 import sys
@@ -228,8 +232,8 @@ def match_balanced(text: str, open_pos: int, open_ch: str, close_ch: str) -> int
 def bitexact_regions(stripped: str) -> list[tuple[int, int]]:
     """Offset ranges of function bodies marked NEURO_BITEXACT.
 
-    The macro expands to nothing, so both engines locate it textually: each
-    marker claims the next top-level `{...}` body that follows it.
+    The macro expands to nothing, so it is located textually: each marker
+    claims the next top-level `{...}` body that follows it.
     """
     regions: list[tuple[int, int]] = []
     for m in BITEXACT_RE.finditer(stripped):
@@ -283,8 +287,24 @@ def harvest_status_functions(stripped: str) -> set[str]:
     return names
 
 
+def harvest_unordered_names(stripped: str) -> set[str]:
+    """Names declared with a std::unordered_{map,set,multimap,multiset} type."""
+    names: set[str] = set()
+    for m in UNORDERED_TYPE_RE.finditer(stripped):
+        open_angle = stripped.find("<", m.end())
+        if open_angle < 0 or stripped[m.end() : open_angle].strip():
+            continue
+        close = match_balanced(stripped, open_angle, "<", ">")
+        if close < 0:
+            continue
+        nm = re.match(r"\s*&?\s*([A-Za-z_]\w*)", stripped[close:])
+        if nm:
+            names.add(nm.group(1))
+    return names
+
+
 # --------------------------------------------------------------------------
-# Shared line-based rules (identical in both engines by construction)
+# Line-based rules
 # --------------------------------------------------------------------------
 
 
@@ -374,24 +394,24 @@ def unordered_finding(rel: str, lineno: int, reason: str | None, strict: bool) -
 
 
 # --------------------------------------------------------------------------
-# Textual engine
+# Analyzer
 # --------------------------------------------------------------------------
 
 
-class TextEngine:
-    """Regex/tokenizer engine needing no toolchain.
+class Analyzer:
+    """Regex/tokenizer analysis of one file.
 
-    No preprocessing and no type information, so it harvests per-file
-    declarations of unordered containers and Status/Outcome-returning
-    functions and over-approximates where cheap. Precision is validated by
-    --self-test fixtures and by the zero-findings requirement on the real
-    tree.
+    `status_names` defaults to the Status/Outcome functions the file itself
+    declares; `header_unordered_names` (containers declared in headers) is
+    added to the unordered-container names the file itself declares.
     """
 
-    name = "text"
-
     def analyze_file(
-        self, path: pathlib.Path, rel: str, status_names: set[str] | None = None
+        self,
+        path: pathlib.Path,
+        rel: str,
+        status_names: set[str] | None = None,
+        header_unordered_names: set[str] | frozenset[str] = frozenset(),
     ) -> list[Finding]:
         original = path.read_text(encoding="utf-8", errors="replace")
         stripped = strip_comments_and_strings(original)
@@ -399,35 +419,27 @@ class TextEngine:
         strict_ranges = bitexact_line_ranges(stripped)
         strict_regions = bitexact_regions(stripped)
         names = status_names if status_names is not None else harvest_status_functions(stripped)
+        unordered_names = harvest_unordered_names(stripped) | header_unordered_names
 
         findings: list[Finding] = []
         findings.extend(scan_nondet_sources(stripped, rel, strict_ranges))
         findings.extend(scan_float_exact_compares(stripped, rel))
-        findings.extend(self._scan_unordered_iteration(stripped, rel, strict_regions))
+        findings.extend(
+            self._scan_unordered_iteration(stripped, rel, strict_regions, unordered_names)
+        )
         findings.extend(self._scan_discarded_status(stripped, rel, names))
         findings.sort(key=lambda f: (f.line, f.check))
         return apply_suppressions(findings, markers)
 
     # -- rule: unordered-iteration -----------------------------------------
 
-    def _unordered_names(self, stripped: str) -> set[str]:
-        names: set[str] = set()
-        for m in UNORDERED_TYPE_RE.finditer(stripped):
-            open_angle = stripped.find("<", m.end())
-            if open_angle < 0 or stripped[m.end() : open_angle].strip():
-                continue
-            close = match_balanced(stripped, open_angle, "<", ">")
-            if close < 0:
-                continue
-            nm = re.match(r"\s*&?\s*([A-Za-z_]\w*)", stripped[close:])
-            if nm:
-                names.add(nm.group(1))
-        return names
-
     def _scan_unordered_iteration(
-        self, stripped: str, rel: str, strict_regions: list[tuple[int, int]]
+        self,
+        stripped: str,
+        rel: str,
+        strict_regions: list[tuple[int, int]],
+        names: set[str],
     ) -> list[Finding]:
-        names = self._unordered_names(stripped)
         findings: list[Finding] = []
         for m in re.finditer(r"\bfor\s*\(", stripped):
             open_paren = stripped.find("(", m.start())
@@ -531,127 +543,8 @@ class TextEngine:
 
 
 # --------------------------------------------------------------------------
-# libclang engine
-# --------------------------------------------------------------------------
-
-
-class ClangEngine:
-    """AST-accurate variant of the same four checks via clang.cindex.
-
-    The two line-based rules (nondet-source, float-exact-compare) reuse the
-    shared textual scanners verbatim, so both engines agree on them by
-    construction. The structural rules gain type accuracy: range-for
-    statements are classified by the *type* of the range (catching members
-    declared in another file), and discarded results by the call's return
-    type rather than a harvested name list.
-    """
-
-    name = "clang"
-
-    def __init__(self) -> None:
-        from clang import cindex  # noqa: PLC0415  (probed by engine selection)
-
-        self.cindex = cindex
-        self.index = cindex.Index.create()
-
-    def analyze_file(
-        self,
-        path: pathlib.Path,
-        rel: str,
-        status_names: set[str] | None = None,
-        args: list[str] | None = None,
-    ) -> list[Finding]:
-        original = path.read_text(encoding="utf-8", errors="replace")
-        stripped = strip_comments_and_strings(original)
-        markers = suppressed_lines(original)
-        strict_ranges = bitexact_line_ranges(stripped)
-
-        findings: list[Finding] = []
-        findings.extend(scan_nondet_sources(stripped, rel, strict_ranges))
-        findings.extend(scan_float_exact_compares(stripped, rel))
-
-        # `-x c++` so bare headers parse as C++, not C.
-        tu = self.index.parse(str(path), args=["-x", "c++"] + (args or ["-std=c++20"]))
-        kinds = self.cindex.CursorKind
-        for cursor in tu.cursor.walk_preorder():
-            if cursor.location.file is None or cursor.location.file.name != str(path):
-                continue
-            if cursor.kind == kinds.CXX_FOR_RANGE_STMT:
-                findings.extend(self._check_range_for(cursor, rel, strict_ranges))
-            elif cursor.kind == kinds.COMPOUND_STMT:
-                findings.extend(self._check_discards(cursor, rel))
-        findings.sort(key=lambda f: (f.line, f.check))
-        return apply_suppressions(findings, markers)
-
-    def _node_text(self, node) -> str:
-        return " ".join(t.spelling for t in node.get_tokens())
-
-    def _check_range_for(self, cursor, rel: str, strict_ranges) -> list[Finding]:
-        children = list(cursor.get_children())
-        if not children:
-            return []
-        body = children[-1]
-        unordered = False
-        for child in children[:-1]:
-            for node in child.walk_preorder():
-                spelling = node.type.spelling or ""
-                if "unordered_map" in spelling or "unordered_set" in spelling:
-                    unordered = True
-                    break
-            if unordered:
-                break
-        if not unordered:
-            return []
-        lineno = cursor.location.line
-        strict = line_in_ranges(lineno, strict_ranges)
-        reason = classify_loop_body(self._node_text(body))
-        if strict or reason is not None:
-            return [unordered_finding(rel, lineno, reason, strict)]
-        return []
-
-    def _check_discards(self, compound, rel: str) -> list[Finding]:
-        kinds = self.cindex.CursorKind
-        findings: list[Finding] = []
-        for child in compound.get_children():
-            node = child
-            # Clang sometimes wraps unused expression statements.
-            while node.kind == kinds.UNEXPOSED_EXPR:
-                inner = list(node.get_children())
-                if len(inner) != 1:
-                    break
-                node = inner[0]
-            if node.kind != kinds.CALL_EXPR:
-                continue
-            result = node.type.spelling or ""
-            if re.search(r"\bStatus\b", result) or "Outcome<" in result:
-                name = node.spelling or "<call>"
-                findings.append(
-                    Finding(
-                        rel,
-                        node.location.line,
-                        CHECK_DISCARD,
-                        f"return value of {name}() ({result}) is discarded — a "
-                        "swallowed failure; check it, or discard explicitly "
-                        "via NEURO_STATUS_IGNORED(expr, reason)",
-                    )
-                )
-        return findings
-
-
-# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
-
-
-def make_engine(requested: str):
-    if requested in ("auto", "clang"):
-        try:
-            return ClangEngine()
-        except ImportError:
-            if requested == "clang":
-                print("check_numerics: clang.cindex not importable; skipping", file=sys.stderr)
-                sys.exit(77)
-    return TextEngine()
 
 
 def iter_tree_files(root: pathlib.Path):
@@ -664,23 +557,11 @@ def iter_tree_files(root: pathlib.Path):
         yield path, path.relative_to(root).as_posix()
 
 
-def compdb_args(root: pathlib.Path, compdb: pathlib.Path) -> dict[str, list[str]]:
-    """Maps absolute file path -> compile args (include dirs / std only)."""
-    entries = json.loads(compdb.read_text(encoding="utf-8"))
-    result: dict[str, list[str]] = {}
-    keep = ("-I", "-D", "-std=", "-isystem")
-    for entry in entries:
-        file = str((pathlib.Path(entry["directory"]) / entry["file"]).resolve())
-        raw = entry.get("arguments") or entry.get("command", "").split()
-        args = [a for a in raw if a.startswith(keep)]
-        result[file] = args
-    return result
-
-
-def harvest_tree_status_functions(root: pathlib.Path) -> set[str]:
+def harvest_files(paths, harvester) -> set[str]:
+    """Union of `harvester` over the comment-stripped text of `paths`."""
     names: set[str] = set()
-    for path, _rel in iter_tree_files(root):
-        names |= harvest_status_functions(
+    for path in paths:
+        names |= harvester(
             strip_comments_and_strings(path.read_text(encoding="utf-8", errors="replace"))
         )
     return names
@@ -690,13 +571,17 @@ EXPECT_RE = re.compile(r"//\s*EXPECT:\s*([\w-]+)\s*@\s*(\d+)")
 EXPECT_CLEAN_RE = re.compile(r"//\s*EXPECT-CLEAN\b")
 
 
-def run_self_test(engine, root: pathlib.Path) -> int:
+def run_self_test(root: pathlib.Path) -> int:
     fixtures_dir = root / "tests" / "numerics_lint"
     failures = 0
     fixture_files = sorted(fixtures_dir.glob("*.cpp"))
     if not fixture_files:
         print(f"check_numerics: no fixtures in {fixtures_dir}", file=sys.stderr)
         return 1
+    analyzer = Analyzer()
+    header_unordered_names = harvest_files(
+        sorted(fixtures_dir.glob("*.h")), harvest_unordered_names
+    )
     for path in fixture_files:
         text = path.read_text(encoding="utf-8")
         expected = {(m.group(1), int(m.group(2))) for m in EXPECT_RE.finditer(text)}
@@ -705,12 +590,9 @@ def run_self_test(engine, root: pathlib.Path) -> int:
             print(f"{path.name}: fixture has neither EXPECT: nor EXPECT-CLEAN")
             failures += 1
             continue
-        if isinstance(engine, ClangEngine):
-            got_findings = engine.analyze_file(
-                path, path.name, args=["-std=c++20", f"-I{root / 'src'}"]
-            )
-        else:
-            got_findings = engine.analyze_file(path, path.name)
+        got_findings = analyzer.analyze_file(
+            path, path.name, header_unordered_names=header_unordered_names
+        )
         got = {(f.check, f.line) for f in got_findings}
         missed = expected - got
         extra = got - expected
@@ -726,9 +608,7 @@ def run_self_test(engine, root: pathlib.Path) -> int:
     if failures:
         print(f"check_numerics self-test: {failures} mismatch(es)", file=sys.stderr)
         return 1
-    print(
-        f"check_numerics self-test: OK ({len(fixture_files)} fixtures, engine={engine.name})"
-    )
+    print(f"check_numerics self-test: OK ({len(fixture_files)} fixtures)")
     return 0
 
 
@@ -736,56 +616,36 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=pathlib.Path, default=pathlib.Path.cwd(),
                         help="repository root to scan (default: cwd)")
-    parser.add_argument("--compdb", type=pathlib.Path, default=None,
-                        help="compile_commands.json for the clang engine")
-    parser.add_argument("--engine", choices=("auto", "text", "clang"), default="auto")
     parser.add_argument("--self-test", action="store_true",
                         help="validate against tests/numerics_lint fixtures")
     args = parser.parse_args()
 
-    engine = make_engine(args.engine)
-
     if args.self_test:
-        return run_self_test(engine, args.root)
+        return run_self_test(args.root)
 
-    per_file_args: dict[str, list[str]] = {}
-    if args.compdb is not None and isinstance(engine, ClangEngine):
-        if args.compdb.is_file():
-            per_file_args = compdb_args(args.root, args.compdb)
-        else:
-            print(f"check_numerics: {args.compdb} missing; using default clang args",
-                  file=sys.stderr)
-
-    status_names = harvest_tree_status_functions(args.root)
+    files = list(iter_tree_files(args.root))
+    status_names = harvest_files((path for path, _rel in files), harvest_status_functions)
+    header_unordered_names = harvest_files(
+        (path for path, _rel in files if path.suffix == ".h"), harvest_unordered_names
+    )
+    analyzer = Analyzer()
     findings: list[Finding] = []
-    scanned = 0
-    for path, rel in iter_tree_files(args.root):
-        scanned += 1
-        if isinstance(engine, ClangEngine):
-            extra = per_file_args.get(str(path.resolve()))
-            findings.extend(
-                engine.analyze_file(
-                    path,
-                    rel,
-                    status_names,
-                    (extra or []) + ["-std=c++20", f"-I{args.root / 'src'}"],
-                )
-            )
-        else:
-            findings.extend(engine.analyze_file(path, rel, status_names))
+    for path, rel in files:
+        findings.extend(
+            analyzer.analyze_file(path, rel, status_names, header_unordered_names)
+        )
 
     for f in findings:
         print(f.render())
     if findings:
         print(
-            f"check_numerics: {len(findings)} finding(s) in {scanned} files "
-            f"(engine={engine.name}); suppress determinism findings with "
-            "// NEURO_NONDET_OK(reason), status discards with "
-            "NEURO_STATUS_IGNORED(expr, reason)",
+            f"check_numerics: {len(findings)} finding(s) in {len(files)} files; "
+            "suppress determinism findings with // NEURO_NONDET_OK(reason), "
+            "status discards with NEURO_STATUS_IGNORED(expr, reason)",
             file=sys.stderr,
         )
         return 1
-    print(f"check_numerics: OK ({scanned} files, engine={engine.name})")
+    print(f"check_numerics: OK ({len(files)} files)")
     return 0
 
 

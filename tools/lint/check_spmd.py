@@ -24,16 +24,8 @@ in such a function and is analyzed on its own. The runtime itself
 (src/par/communicator.*) is excluded: it implements the collectives and is
 legitimately rank-divergent inside.
 
-Two engines share the reporting and suppression layer:
-
-  clang  libclang over compile_commands.json (use --compdb). Preferred when
-         the `clang.cindex` Python bindings are importable.
-  text   a built-in tokenizer/scope-tracker needing no toolchain. Runs
-         everywhere, including gcc-only containers.
-
-`--engine auto` (default) picks clang when importable, else text.
-`--engine clang` exits with status 77 when libclang is unavailable so CTest
-can mark the entry SKIPPED instead of failed.
+The analyzer is a built-in tokenizer and scope tracker needing no toolchain,
+so it reports the same findings on every host.
 
 A finding is suppressed only by a grep-able marker on the same or the
 immediately preceding line:
@@ -50,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import pathlib
 import re
 import sys
@@ -186,7 +177,7 @@ def split_top_level_args(arglist: str) -> list[str]:
 
 
 # --------------------------------------------------------------------------
-# Textual engine
+# Analyzer
 # --------------------------------------------------------------------------
 
 WORD_RE = re.compile(r"[A-Za-z_]\w*")
@@ -221,7 +212,7 @@ class Event:
     detail: str
 
 
-class TextEngine:
+class Analyzer:
     """Tokenizer + brace/scope tracker + rank-taint propagation.
 
     No preprocessing and no type information, so it over-approximates where
@@ -230,8 +221,6 @@ class TextEngine:
     the taint sources). Precision is validated by --self-test fixtures and by
     the zero-findings requirement on the real tree.
     """
-
-    name = "text"
 
     def analyze_file(self, path: pathlib.Path, rel: str) -> list[Finding]:
         original = path.read_text(encoding="utf-8", errors="replace")
@@ -537,192 +526,8 @@ class TextEngine:
 
 
 # --------------------------------------------------------------------------
-# libclang engine
-# --------------------------------------------------------------------------
-
-
-class ClangEngine:
-    """AST-accurate variant of the same three checks via clang.cindex.
-
-    Regions are CXX lambdas/functions/methods with a `Communicator&`
-    parameter; taint is tracked per VarDecl whose initializer (or any
-    assignment) references rank()/rank_id() or a tainted variable; control
-    dependence comes from the real statement tree instead of brace counting.
-    """
-
-    name = "clang"
-
-    def __init__(self) -> None:
-        from clang import cindex  # noqa: PLC0415  (probed by engine selection)
-
-        self.cindex = cindex
-        self.index = cindex.Index.create()
-
-    def analyze_file(
-        self, path: pathlib.Path, rel: str, args: list[str] | None = None
-    ) -> list[Finding]:
-        original = path.read_text(encoding="utf-8", errors="replace")
-        ok_lines = suppressed_lines(original)
-        tu = self.index.parse(str(path), args=args or ["-std=c++20"])
-        findings: list[Finding] = []
-        for cursor in tu.cursor.walk_preorder():
-            if cursor.location.file is None or cursor.location.file.name != str(path):
-                continue
-            comm = self._comm_param(cursor)
-            if comm is None:
-                continue
-            body = self._body_of(cursor)
-            if body is None:
-                continue
-            findings.extend(self._analyze_body(body, comm, rel))
-        return [
-            f
-            for f in findings
-            if f.line not in ok_lines and (f.line - 1) not in ok_lines
-        ]
-
-    def _comm_param(self, cursor):
-        kinds = self.cindex.CursorKind
-        if cursor.kind not in (
-            kinds.FUNCTION_DECL,
-            kinds.CXX_METHOD,
-            kinds.LAMBDA_EXPR,
-            kinds.FUNCTION_TEMPLATE,
-        ):
-            return None
-        for child in cursor.get_children():
-            if child.kind != kinds.PARM_DECL:
-                continue
-            if "Communicator" in child.type.spelling:
-                return child.spelling or "comm"
-        return None
-
-    def _body_of(self, cursor):
-        kinds = self.cindex.CursorKind
-        for child in cursor.get_children():
-            if child.kind == kinds.COMPOUND_STMT:
-                return child
-        return None
-
-    def _analyze_body(self, body, comm: str, rel: str) -> list[Finding]:
-        engine = TextEngine()
-        tainted: set[str] = set()
-        kinds = self.cindex.CursorKind
-
-        def node_text(node) -> str:
-            return " ".join(t.spelling for t in node.get_tokens())
-
-        changed = True
-        while changed:
-            changed = False
-            for node in body.walk_preorder():
-                if node.kind == kinds.VAR_DECL and node.spelling not in tainted:
-                    if engine._expr_tainted(node_text(node), tainted):
-                        tainted.add(node.spelling)
-                        changed = True
-
-        events: list[Event] = []
-
-        def visit(node, tainted_scopes: tuple[int, ...], serial: list[int]) -> None:
-            for child in node.get_children():
-                scopes = tainted_scopes
-                if child.kind in (
-                    kinds.IF_STMT,
-                    kinds.WHILE_STMT,
-                    kinds.FOR_STMT,
-                    kinds.SWITCH_STMT,
-                ):
-                    cond_children = list(child.get_children())
-                    cond = cond_children[0] if cond_children else None
-                    is_tainted = cond is not None and engine._expr_tainted(
-                        node_text(cond), tainted
-                    )
-                    if is_tainted:
-                        serial[0] += 1
-                        scopes = tainted_scopes + (serial[0],)
-                if child.kind in (kinds.RETURN_STMT, kinds.CXX_THROW_EXPR):
-                    if scopes:
-                        events.append(
-                            Event(
-                                "exit",
-                                child.location.line,
-                                scopes,
-                                child.kind.name.split("_")[0].lower(),
-                            )
-                        )
-                if child.kind == kinds.CALL_EXPR:
-                    name = child.spelling
-                    if name in COLLECTIVES:
-                        events.append(
-                            Event("collective", child.location.line, scopes, f"{comm}.{name}()")
-                        )
-                    elif name in P2P:
-                        args = list(child.get_arguments())
-                        if len(args) >= 2 and engine._expr_tainted(
-                            node_text(args[1]), tainted
-                        ):
-                            events.append(
-                                Event("p2p", child.location.line, scopes, f"{comm}.{name}(...)")
-                            )
-                    else:
-                        arg_text = " , ".join(node_text(a) for a in child.get_arguments())
-                        if re.search(rf"\b{re.escape(comm)}\b(?!\s*\.)", arg_text):
-                            events.append(
-                                Event("indirect", child.location.line, scopes, f"{name}(...)")
-                            )
-                visit(child, scopes, serial)
-
-        visit(body, (), [0])
-
-        findings: list[Finding] = []
-        for idx, ev in enumerate(events):
-            # Event.pos already holds a line number in this engine.
-            if ev.kind in ("collective", "indirect") and ev.tainted_scopes:
-                findings.append(
-                    Finding(
-                        rel,
-                        ev.pos,
-                        CHECK_RANK_COND,
-                        f"{ev.detail} under rank-dependent control flow",
-                    )
-                )
-            elif ev.kind == "exit" and ev.tainted_scopes:
-                guard = set(ev.tainted_scopes)
-                for later in events[idx + 1 :]:
-                    if later.kind in ("collective", "indirect") and guard.isdisjoint(
-                        later.tainted_scopes
-                    ):
-                        findings.append(
-                            Finding(
-                                rel,
-                                ev.pos,
-                                CHECK_EARLY_EXIT,
-                                f"rank-dependent {ev.detail} skips {later.detail} "
-                                f"at line {later.pos}",
-                            )
-                        )
-                        break
-            elif ev.kind == "p2p":
-                findings.append(
-                    Finding(rel, ev.pos, CHECK_DIVERGENT_TAG, f"{ev.detail}: rank-dependent tag")
-                )
-        return findings
-
-
-# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
-
-
-def make_engine(requested: str):
-    if requested in ("auto", "clang"):
-        try:
-            return ClangEngine()
-        except ImportError:
-            if requested == "clang":
-                print("check_spmd: clang.cindex not importable; skipping", file=sys.stderr)
-                sys.exit(77)
-    return TextEngine()
 
 
 def iter_tree_files(root: pathlib.Path):
@@ -739,29 +544,17 @@ def iter_tree_files(root: pathlib.Path):
             yield path, rel
 
 
-def compdb_args(root: pathlib.Path, compdb: pathlib.Path) -> dict[str, list[str]]:
-    """Maps absolute file path -> compile args (include dirs / std only)."""
-    entries = json.loads(compdb.read_text(encoding="utf-8"))
-    result: dict[str, list[str]] = {}
-    keep = ("-I", "-D", "-std=", "-isystem")
-    for entry in entries:
-        file = str((pathlib.Path(entry["directory"]) / entry["file"]).resolve())
-        raw = entry.get("arguments") or entry.get("command", "").split()
-        args = [a for a in raw if a.startswith(keep)]
-        result[file] = args
-    return result
-
-
 EXPECT_RE = re.compile(r"//\s*EXPECT:\s*([\w-]+)\s*@\s*(\d+)")
 EXPECT_CLEAN_RE = re.compile(r"//\s*EXPECT-CLEAN\b")
 
 
-def run_self_test(engine, fixtures_dir: pathlib.Path) -> int:
+def run_self_test(fixtures_dir: pathlib.Path) -> int:
     failures = 0
     fixture_files = sorted(fixtures_dir.glob("*.cpp"))
     if not fixture_files:
         print(f"check_spmd: no fixtures in {fixtures_dir}", file=sys.stderr)
         return 1
+    analyzer = Analyzer()
     for path in fixture_files:
         text = path.read_text(encoding="utf-8")
         expected = {(m.group(1), int(m.group(2))) for m in EXPECT_RE.finditer(text)}
@@ -770,7 +563,7 @@ def run_self_test(engine, fixtures_dir: pathlib.Path) -> int:
             print(f"{path.name}: fixture has neither EXPECT: nor EXPECT-CLEAN")
             failures += 1
             continue
-        got_findings = engine.analyze_file(path, path.name)
+        got_findings = analyzer.analyze_file(path, path.name)
         got = {(f.check, f.line) for f in got_findings}
         missed = expected - got
         extra = got - expected
@@ -786,7 +579,7 @@ def run_self_test(engine, fixtures_dir: pathlib.Path) -> int:
     if failures:
         print(f"check_spmd self-test: {failures} mismatch(es)", file=sys.stderr)
         return 1
-    print(f"check_spmd self-test: OK ({len(fixture_files)} fixtures, engine={engine.name})")
+    print(f"check_spmd self-test: OK ({len(fixture_files)} fixtures)")
     return 0
 
 
@@ -794,49 +587,30 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=pathlib.Path, default=pathlib.Path.cwd(),
                         help="repository root to scan (default: cwd)")
-    parser.add_argument("--compdb", type=pathlib.Path, default=None,
-                        help="compile_commands.json for the clang engine")
-    parser.add_argument("--engine", choices=("auto", "text", "clang"), default="auto")
     parser.add_argument("--self-test", action="store_true",
                         help="validate against tests/spmd_lint fixtures")
     args = parser.parse_args()
 
-    engine = make_engine(args.engine)
-
     if args.self_test:
-        return run_self_test(engine, args.root / "tests" / "spmd_lint")
+        return run_self_test(args.root / "tests" / "spmd_lint")
 
-    per_file_args: dict[str, list[str]] = {}
-    if args.compdb is not None and isinstance(engine, ClangEngine):
-        if args.compdb.is_file():
-            per_file_args = compdb_args(args.root, args.compdb)
-        else:
-            print(f"check_spmd: {args.compdb} missing; using default clang args",
-                  file=sys.stderr)
-
+    analyzer = Analyzer()
     findings: list[Finding] = []
     scanned = 0
     for path, rel in iter_tree_files(args.root):
         scanned += 1
-        if isinstance(engine, ClangEngine):
-            extra = per_file_args.get(str(path.resolve()))
-            findings.extend(
-                engine.analyze_file(path, rel, (extra or []) + ["-std=c++20", f"-I{args.root / 'src'}"])
-            )
-        else:
-            findings.extend(engine.analyze_file(path, rel))
+        findings.extend(analyzer.analyze_file(path, rel))
 
     for f in findings:
         print(f.render())
     if findings:
         print(
-            f"check_spmd: {len(findings)} finding(s) in {scanned} files "
-            f"(engine={engine.name}); suppress only with "
-            "// NEURO_SPMD_OK(reason)",
+            f"check_spmd: {len(findings)} finding(s) in {scanned} files; "
+            "suppress only with // NEURO_SPMD_OK(reason)",
             file=sys.stderr,
         )
         return 1
-    print(f"check_spmd: OK ({scanned} files, engine={engine.name})")
+    print(f"check_spmd: OK ({scanned} files)")
     return 0
 
 
